@@ -9,11 +9,10 @@ import pytest
 
 from repro.graph import gen
 from repro.graph.builder import from_pandas
-from repro.graph.coloring import color_graph_local
 from repro.graph.local import LocalGraph
 from repro.core.maxrfc import max_rfc_local
 from repro.core.reduction import reduce_pipeline
-from repro.bench_harness import bench_scale, emit_table, local_threshold, max_peel_rounds
+from repro.bench_harness import bench_scale, emit_table
 
 FRACS = (0.2, 0.4, 0.6, 0.8, 1.0)
 _ROWS: dict[tuple[str, float], tuple[float, float, float, int]] = {}
@@ -41,10 +40,8 @@ def test_scalability_point(benchmark, spark, mode, frac):
     k, delta = 3, 3  # flixster defaults
 
     def run():
-        colors = color_graph_local(g).localCheckpoint(eager=True)
         t0 = time.perf_counter()
-        rep = reduce_pipeline(g, k, colors=colors, max_rounds=max_peel_rounds(),
-                              local_threshold=local_threshold())
+        rep = reduce_pipeline(g, k)
         t_red = time.perf_counter() - t0
         lg = LocalGraph.from_spark(rep.graph, rep.colors)
         t0 = time.perf_counter()

@@ -4,6 +4,9 @@ Caches per-(dataset, k) Spark reduction pipelines so the Table-II sweep
 (6 datasets × 10 parameter points × 6 ub configs) pays each reduction
 once — the reduction is identical work for every ub configuration, as
 in the paper, where the configs differ only inside the branch-and-bound.
+``kernel`` reduces exactly as ``max_rfc`` does — ``reduce_pipeline(g,
+k)``, coloring included, every stage to its exact fixpoint on Spark —
+and collects the result once with ``LocalGraph.from_spark``.
 
 Cell times reported for Table II are ``reduce_seconds + heuristic +
 search`` (the full MaxRFC pipeline for that configuration); the
@@ -21,7 +24,6 @@ from pyspark.sql import SparkSession
 
 from repro.graph import gen
 from repro.graph.builder import AttributedGraph, from_pandas
-from repro.graph.coloring import color_graph_local
 from repro.graph.local import LocalGraph
 from repro.core.maxrfc import MaxRFCResult, max_rfc_local
 from repro.core.reduction import ReductionReport, reduce_pipeline
@@ -35,31 +37,12 @@ def bench_scale() -> float:
     return float(os.environ.get("BENCH_SCALE", "1.0"))
 
 
-def max_peel_rounds() -> int:
-    """Per-stage batch-peel round cap for benchmarks (BENCH_MAX_ROUNDS).
-
-    Early-stopped peeling keeps a superset of the exact fixpoint — sound
-    (see repro.core.reduction) — and bounds the latency of truss-style
-    cascades that remove only a few edges per round. The cascade tail is
-    normally finished exactly on the driver (``local_threshold``), so
-    this cap only bounds the big-graph rounds.
-    """
-    return int(os.environ.get("BENCH_MAX_ROUNDS", "8"))
-
-
-def local_threshold() -> int:
-    """Edge count at which the peel tail moves to the driver
-    (BENCH_LOCAL_THRESHOLD; see repro.core.reduction / local_peel)."""
-    return int(os.environ.get("BENCH_LOCAL_THRESHOLD", "2000"))
-
-
 @dataclass
 class Prepared:
-    """A dataset lifted to Spark with its (driver-computed) coloring."""
+    """A dataset lifted to Spark."""
 
     name: str
     graph: AttributedGraph
-    colors: object
     n: int
     m: int
     gen_seconds: float
@@ -87,11 +70,9 @@ def prepare(spark: SparkSession, name: str, scale: float | None = None) -> Prepa
         t0 = time.perf_counter()
         v, e = gen.DATASETS[name](scale=scale)
         g = from_pandas(spark, v, e).checkpointed()
-        colors = color_graph_local(g).localCheckpoint(eager=True)
         _PREPARED[key] = Prepared(
             name=name,
             graph=g,
-            colors=colors,
             n=len(v),
             m=len(e),
             gen_seconds=time.perf_counter() - t0,
@@ -105,13 +86,7 @@ def kernel(spark: SparkSession, name: str, k: int, scale: float | None = None) -
     if key not in _KERNELS:
         prep = prepare(spark, name, scale)
         t0 = time.perf_counter()
-        report = reduce_pipeline(
-            prep.graph,
-            k,
-            colors=prep.colors,
-            max_rounds=max_peel_rounds(),
-            local_threshold=local_threshold(),
-        )
+        report = reduce_pipeline(prep.graph, k)
         secs = time.perf_counter() - t0
         lg = LocalGraph.from_spark(report.graph, report.colors)
         _KERNELS[key] = Kernel(name=name, k=k, lg=lg, report=report, reduce_seconds=secs)

@@ -78,11 +78,11 @@ def branch_search(
     ``node_prune`` is "attr" (attribute-aware feasibility + Lemma-6
     prunes at every node) or "basic" (size bound only — the MaxRFC
     baseline of Fig. 6). ``best_init`` seeds the incumbent (HeurRFC
-    integration); it must be a fair clique of ``lg``.
+    integration); it must be a fair clique of ``lg``, else ``ValueError``.
     """
     t0 = time.perf_counter()
-    if best_init:
-        assert lg.is_fair_clique(best_init, k, delta), "best_init must be fair"
+    if best_init and not lg.is_fair_clique(best_init, k, delta):
+        raise ValueError("best_init must be a (k, δ)-fair clique of lg")
     st = _State(
         lg=lg,
         k=k,

@@ -92,12 +92,11 @@ def max_rfc(
     ub_combo: str = "ad",
     node_prune: str = "attr",
     use_heuristic: bool = True,
-    reduce_stages: tuple[str, ...] = ("encore", "sup", "ensup"),
     time_limit: float | None = None,
 ) -> MaxRFCResult:
     """Full Spark-reduce-then-search pipeline (Algorithm 2)."""
     t0 = time.perf_counter()
-    report = reduce_pipeline(g, k, stages=reduce_stages)
+    report = reduce_pipeline(g, k)
     t_reduce = time.perf_counter() - t0
     t0 = time.perf_counter()
     lg = LocalGraph.from_spark(report.graph, report.colors)

@@ -16,21 +16,17 @@ recomputes. Both converge to the same unique maximal subgraph (the
 constraints are monotone, so feasible subgraphs are closed under union —
 see DESIGN.md §2); a test checks batch output == sequential reference.
 
-Each round materializes the stats frame once with ``localCheckpoint``
-(truncating lineage and avoiding a second triangle-join evaluation for
-the emptiness probe), then derives both the convergence check and the
-next edge set from the materialized result.
+Each round materializes the stats frame once with
+``builder.checkpoint`` (truncating lineage, dropping the plan's size
+estimate, and avoiding a second triangle-join evaluation for the
+emptiness probe), then derives both the convergence check and the next
+edge set from the materialized result.
 
 ``reduce_pipeline`` chains EnColorfulCore(k−1) → ColorfulSup(k) →
 EnColorfulSup(k) exactly as Algorithm 2 lines 1–3, reporting per-stage
-(n, m) so the Fig-4-style reduction tables fall out for free.
-
-``max_rounds`` (None = run to the exact fixpoint) bounds the number of
-batch rounds per stage. Long truss-style cascades can remove only a few
-edges per round; stopping early keeps a *superset* of the fixpoint,
-which is still a sound reduction (no fair clique is ever lost), trading
-kernel size for dataflow latency. Benchmarks cap rounds; correctness
-tests run uncapped.
+(n, m) so the Fig-4-style reduction tables fall out for free. Every
+stage runs to its exact fixpoint; ``max_rfc``, the jobs and the
+benchmarks all call it the same way.
 """
 from __future__ import annotations
 
@@ -40,7 +36,7 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.builder import AttributedGraph, drop_isolated, induced_subgraph
+from repro.graph.builder import AttributedGraph, checkpoint, drop_isolated, induced_subgraph
 from repro.graph.coloring import color_graph, color_graph_local
 from repro.core.supports import (
     edge_color_stats,
@@ -50,68 +46,44 @@ from repro.core.supports import (
 )
 
 
-def _vertex_peel(
-    g: AttributedGraph,
-    colors: DataFrame,
-    t: int,
-    metric_col,
-    *,
-    max_rounds: int | None = None,
-) -> AttributedGraph:
-    """Peel vertices whose metric (a column over vertex_color_stats) < t.
-
-    ``max_rounds`` stops early after that many batch rounds; the result
-    is then a *superset* of the exact fixpoint, which is still a sound
-    reduction (it can only keep more of the graph).
-    """
+def _vertex_peel(g: AttributedGraph, colors: DataFrame, t: int, metric_col) -> AttributedGraph:
+    """Peel vertices whose metric (a column over vertex_color_stats) < t."""
     if t <= 0:
         return g
     cur = g.checkpointed()
-    for _ in range(max_rounds if max_rounds is not None else 10_000):
+    for _ in range(10_000):
         stats = vertex_color_stats(cur, colors).withColumn("metric", metric_col)
-        vals = (
+        vals = checkpoint(
             cur.vertices.join(F.broadcast(stats.select("id", "metric")), "id", "left")
             .select("id", F.coalesce(F.col("metric"), F.lit(0)).alias("val"))
-            .localCheckpoint(eager=True)
         )
         if vals.where(F.col("val") < t).isEmpty():
             return cur
         keep = vals.where(F.col("val") >= t).select("id")
         cur = induced_subgraph(cur, keep).checkpointed()
-    if max_rounds is not None:
-        return cur
     raise RuntimeError("vertex peel did not converge")
 
 
-def colorful_core(
-    g: AttributedGraph, colors: DataFrame, t: int, *, max_rounds: int | None = None
-) -> AttributedGraph:
+def colorful_core(g: AttributedGraph, colors: DataFrame, t: int) -> AttributedGraph:
     """Maximal subgraph with min(D_a, D_b) ≥ t for every vertex (Def. 3).
 
     Lemma 1: any (k, δ)-fair clique lives in the colorful (k−1)-core, so
     callers pass ``t = k − 1``.
     """
-    return _vertex_peel(g, colors, t, F.least("d_a", "d_b"), max_rounds=max_rounds)
+    return _vertex_peel(g, colors, t, F.least("d_a", "d_b"))
 
 
-def en_colorful_core(
-    g: AttributedGraph, colors: DataFrame, t: int, *, max_rounds: int | None = None
-) -> AttributedGraph:
+def en_colorful_core(g: AttributedGraph, colors: DataFrame, t: int) -> AttributedGraph:
     """Maximal subgraph with ED(u) ≥ t for every vertex (Def. 5).
 
     Lemma 2: any (k, δ)-fair clique lives in the enhanced colorful
     (k−1)-core, so callers pass ``t = k − 1``.
     """
-    return _vertex_peel(g, colors, t, F.col("ed"), max_rounds=max_rounds)
+    return _vertex_peel(g, colors, t, F.col("ed"))
 
 
 def colorful_sup_reduce(
-    g: AttributedGraph,
-    colors: DataFrame,
-    k: int,
-    *,
-    enhanced: bool = False,
-    max_rounds: int | None = None,
+    g: AttributedGraph, colors: DataFrame, k: int, *, enhanced: bool = False
 ) -> AttributedGraph:
     """Edge peeling by (enhanced) colorful support — ColorfulSup /
     EnColorfulSup (Lemmas 3 and 4).
@@ -124,20 +96,18 @@ def colorful_sup_reduce(
     """
     cur = g.checkpointed()
     ka, kb = edge_thresholds(k)
-    for _ in range(max_rounds if max_rounds is not None else 10_000):
+    for _ in range(10_000):
         stats = edge_color_stats(cur, colors).withColumn("ka", ka).withColumn("kb", kb)
         if enhanced:
             esa, esb = enhanced_support_cols(k)
             ok = (esa >= F.col("ka")) & (esb >= F.col("kb"))
         else:
             ok = (F.col("sup_a") >= F.col("ka")) & (F.col("sup_b") >= F.col("kb"))
-        flagged = stats.select("src", "dst", ok.alias("ok")).localCheckpoint(eager=True)
+        flagged = checkpoint(stats.select("src", "dst", ok.alias("ok")))
         if flagged.where(~F.col("ok")).isEmpty():
             return drop_isolated(cur)
         keep = flagged.where(F.col("ok")).select("src", "dst")
         cur = AttributedGraph(cur.vertices, keep)
-    if max_rounds is not None:
-        return drop_isolated(cur)
     raise RuntimeError("colorful_sup_reduce did not converge")
 
 
@@ -153,67 +123,32 @@ class ReductionReport:
         return {name: (n, m) for name, n, m, _ in self.stages}
 
 
-def reduce_pipeline(
-    g: AttributedGraph,
-    k: int,
-    *,
-    stages: tuple[str, ...] = ("encore", "sup", "ensup"),
-    colors: DataFrame | None = None,
-    coloring: str = "driver",
-    max_rounds: int | None = None,
-    local_threshold: int = 0,
-) -> ReductionReport:
+def reduce_pipeline(g: AttributedGraph, k: int, *, coloring: str = "driver") -> ReductionReport:
     """Algorithm 2, lines 1–3: EnColorfulCore → ColorfulSup → EnColorfulSup.
 
     One proper coloring is computed up front and reused (a proper
     coloring remains proper on subgraphs — DESIGN.md §3.3.4). The
     coloring runs on the driver by default (the greedy algorithm is
     sequential; see ``color_graph_local``); pass ``coloring="spark"``
-    for the distributed Jones–Plassmann rounds.
-
-    ``local_threshold``: once the remaining graph has at most this many
-    edges, the tail of the peel is handed to the driver-side
-    Algorithm-1 implementation (``repro.core.local_peel``) which reaches
-    the exact fixpoint without paying a Spark scheduler round per batch
-    round — the standard "scale down the cascade tail" hybrid. 0 keeps
-    everything distributed. The result is identical either way (tested).
+    for the distributed Jones–Plassmann rounds. Every stage peels on
+    Spark to its exact fixpoint.
 
     Returns the reduced graph plus per-stage (n, m, seconds).
     """
-    from repro.core.local_peel import apply_local_stage
-    from repro.graph.builder import from_local
-    from repro.graph.local import LocalGraph
-
-    report_stages: list[tuple[str, int, int, float]] = []
     t0 = time.perf_counter()
-    if colors is None:
-        fn = color_graph if coloring == "spark" else color_graph_local
-        colors = fn(g).localCheckpoint(eager=True)
+    fn = color_graph if coloring == "spark" else color_graph_local
+    colors = fn(g).localCheckpoint(eager=True)
     n, m = g.counts()
-    report_stages.append(("original", n, m, time.perf_counter() - t0))
+    stages = [("original", n, m, time.perf_counter() - t0)]
+    peels = (
+        ("encore", lambda h: en_colorful_core(h, colors, k - 1)),
+        ("sup", lambda h: colorful_sup_reduce(h, colors, k)),
+        ("ensup", lambda h: colorful_sup_reduce(h, colors, k, enhanced=True)),
+    )
     cur = g
-    lg: LocalGraph | None = None
-    for s in stages:
+    for name, peel in peels:
         t0 = time.perf_counter()
-        if lg is None and m <= local_threshold:
-            lg = LocalGraph.from_spark(cur, colors)
-        if lg is not None:
-            lg = apply_local_stage(lg, s, k)
-            n, m = lg.n, lg.m
-        else:
-            if s == "core":
-                cur = colorful_core(cur, colors, k - 1, max_rounds=max_rounds)
-            elif s == "encore":
-                cur = en_colorful_core(cur, colors, k - 1, max_rounds=max_rounds)
-            elif s == "sup":
-                cur = colorful_sup_reduce(cur, colors, k, enhanced=False, max_rounds=max_rounds)
-            elif s == "ensup":
-                cur = colorful_sup_reduce(cur, colors, k, enhanced=True, max_rounds=max_rounds)
-            else:
-                raise ValueError(f"unknown reduction stage: {s}")
-            cur = drop_isolated(cur)
-            n, m = cur.counts()
-        report_stages.append((s, n, m, time.perf_counter() - t0))
-    if lg is not None:
-        cur = from_local(g.vertices.sparkSession, lg)
-    return ReductionReport(graph=cur, colors=colors, stages=report_stages)
+        cur = drop_isolated(peel(cur))
+        n, m = cur.counts()
+        stages.append((name, n, m, time.perf_counter() - t0))
+    return ReductionReport(graph=cur, colors=colors, stages=stages)

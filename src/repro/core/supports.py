@@ -76,9 +76,7 @@ def vertex_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
     return stats.withColumn("ed", ed)
 
 
-def edge_color_stats(
-    g: AttributedGraph, colors: DataFrame, *, hint_small: bool = True
-) -> DataFrame:
+def edge_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
     """Per-edge common-neighbor color stats.
 
     Returns every canonical edge with columns
@@ -88,18 +86,14 @@ def edge_color_stats(
     neighbors get all-zero stats.
 
     The common-neighbor relation is the standard triangle join:
-    edge (u,v) × adjacency (u,w) × adjacency (v,w). ``hint_small``
-    (default) broadcast-hints the adjacency sides — right for the
-    latency-bound local mode this reproduction runs in, where the
-    adjacency relation is tens of thousands of rows and every shuffle
-    costs a scheduler round-trip; pass False at cluster scale, where
-    the O(m) adjacency must shuffle.
+    edge (u,v) × adjacency (u,w) × adjacency (v,w), with both adjacency
+    sides broadcast-hinted: in local mode the adjacency relation is tens
+    of thousands of rows and every shuffle costs a scheduler round-trip.
     """
-    maybe_b = F.broadcast if hint_small else (lambda df: df)
     vc = _vc(g, colors)
     sym = symmetrize(g.edges)
-    s1 = maybe_b(sym.select(F.col("src").alias("u"), F.col("dst").alias("w")))
-    s2 = maybe_b(sym.select(F.col("src").alias("v"), F.col("dst").alias("w")))
+    s1 = F.broadcast(sym.select(F.col("src").alias("u"), F.col("dst").alias("w")))
+    s2 = F.broadcast(sym.select(F.col("src").alias("v"), F.col("dst").alias("w")))
     e = g.edges.select(F.col("src").alias("u"), F.col("dst").alias("v"))
     common = e.join(s1, "u").join(s2, ["v", "w"])
     wstats = common.join(

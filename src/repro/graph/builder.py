@@ -6,9 +6,7 @@
 - ``edges``: canonical undirected edges ``(src: long, dst: long)`` with
   ``src < dst``, deduplicated, no self loops.
 
-All operations are pure DataFrame transformations (Catalyst-planned); the
-iterative ones (`k_core`) batch-peel with ``localCheckpoint()`` per round
-to truncate lineage, the standard Pregel-on-DataFrames encoding.
+All operations are pure DataFrame transformations (Catalyst-planned).
 """
 from __future__ import annotations
 
@@ -34,10 +32,25 @@ class AttributedGraph:
         return AttributedGraph(self.vertices.cache(), self.edges.cache())
 
     def checkpointed(self) -> "AttributedGraph":
-        return AttributedGraph(
-            self.vertices.localCheckpoint(eager=True),
-            self.edges.localCheckpoint(eager=True),
-        )
+        return AttributedGraph(checkpoint(self.vertices), checkpoint(self.edges))
+
+
+def checkpoint(df: DataFrame) -> DataFrame:
+    """``df.localCheckpoint(eager=True)`` without the plan's size estimate.
+
+    Spark hands a checkpoint the estimated size of the plan that produced
+    it, and estimates a join as the product of its inputs' sizes. A peel
+    round joins the previous round's checkpoint, so the estimate's bit
+    length multiplies every round (about 3× per edge-peel round) and,
+    after a dozen rounds, query planning stalls in big-integer
+    arithmetic. Re-reading the checkpointed rows as a fresh relation
+    gives Spark's default estimate instead; no job is added.
+    """
+    cp = df.localCheckpoint(eager=True)
+    jdf = cp.sparkSession._jsparkSession.internalCreateDataFrame(
+        cp._jdf.queryExecution().toRdd(), cp._jdf.schema(), False
+    )
+    return DataFrame(jdf, cp.sparkSession)
 
 
 def canonicalize_edges(edges: DataFrame) -> DataFrame:
@@ -55,20 +68,6 @@ def from_pandas(spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame
     else:
         edf = spark.createDataFrame(edges, schema="src long, dst long")
     return AttributedGraph(vdf, canonicalize_edges(edf))
-
-
-def from_local(spark: SparkSession, lg) -> AttributedGraph:
-    """Lift a driver-side ``LocalGraph`` back into Spark frames."""
-    vp = pd.DataFrame(
-        {"id": list(lg.adj), "attr": [lg.attr[v] for v in lg.adj]}
-    )
-    pairs = sorted(
-        (u, v) for u in lg.adj for v in lg.adj[u] if u < v
-    )
-    ep = pd.DataFrame(pairs, columns=["src", "dst"]) if pairs else pd.DataFrame(
-        {"src": pd.Series(dtype="int64"), "dst": pd.Series(dtype="int64")}
-    )
-    return from_pandas(spark, vp, ep)
 
 
 def symmetrize(edges: DataFrame) -> DataFrame:
@@ -103,23 +102,3 @@ def drop_isolated(g: AttributedGraph) -> AttributedGraph:
     """Drop degree-0 vertices (irrelevant to any clique of size ≥ 2)."""
     ids = F.broadcast(symmetrize(g.edges).select(F.col("src").alias("id")).distinct())
     return AttributedGraph(g.vertices.join(ids, "id", "inner"), g.edges)
-
-
-def k_core(g: AttributedGraph, k: int, *, max_iter: int = 10_000) -> AttributedGraph:
-    """Distributed k-core via batch degree peeling.
-
-    Each round removes *every* vertex of degree < k; this converges to
-    the same unique maximal subgraph as one-at-a-time peeling (the
-    constraint is monotone under vertex deletion).
-    """
-    if k <= 0:
-        return g
-    cur = g.checkpointed()
-    for _ in range(max_iter):
-        deg = degrees(cur)
-        bad = deg.where(F.col("degree") < k).select("id")
-        if bad.isEmpty():
-            return cur
-        keep = deg.where(F.col("degree") >= k).select("id")
-        cur = induced_subgraph(cur, keep).checkpointed()
-    raise RuntimeError(f"k_core did not converge within {max_iter} rounds")

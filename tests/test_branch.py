@@ -63,6 +63,17 @@ def test_heuristic_seed_preserves_optimum():
     assert len(res.clique) == brute_force_size(lg, k, delta)
 
 
+def test_unfair_best_init_rejected():
+    """An incumbent that is not a fair clique is a caller error, reported
+    with a ValueError (an assert would vanish under ``python -O``)."""
+    v = pd.DataFrame({"id": range(4), "attr": ["a", "a", "b", "b"]})
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    assert sorted(branch_search(lg, 2, 0, best_init=[0, 1, 2, 3]).clique) == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        branch_search(lg, 2, 0, best_init=[0, 1, 2])  # 2a + 1b: not (2, 0)-fair
+
+
 def test_planted_answer_found_exactly():
     v, e = gen.random_attributed_graph(60, 0.08, seed=11)
     edges = set(zip(e["src"], e["dst"]))

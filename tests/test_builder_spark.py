@@ -1,19 +1,19 @@
 """Spark graph-algebra tests (builder) with the DuckDB oracle."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.graph import gen
 from repro.graph.builder import (
     canonicalize_edges,
+    checkpoint,
     degrees,
     drop_isolated,
     from_pandas,
     induced_subgraph,
-    k_core,
     symmetrize,
 )
-from repro.graph.local import LocalGraph
 
 
 @pytest.fixture(scope="module")
@@ -71,21 +71,21 @@ def test_induced_subgraph_matches_pandas(small_graph):
     assert sub.vertices.count() == 40
 
 
-def test_k_core_matches_local(small_graph):
-    v, e, g = small_graph
-    lg = LocalGraph.from_pandas(v, e)
-    for k in (1, 2, 3):
-        got = set(k_core(g, k).vertices.toPandas()["id"])
-        assert got == set(lg.k_core(k).adj), f"k={k}"
-
-
-def test_k_core_zero_is_identity(small_graph):
-    _, _, g = small_graph
-    assert k_core(g, 0) is g
-
-
 def test_drop_isolated(spark):
     v = pd.DataFrame({"id": [0, 1, 2, 3], "attr": ["a", "b", "a", "b"]})
     e = pd.DataFrame({"src": [0], "dst": [1]})
     g = drop_isolated(from_pandas(spark, v, e))
     assert set(g.vertices.toPandas()["id"]) == {0, 1}
+
+
+def test_checkpoint_keeps_rows_and_drops_size_estimate(spark):
+    """Join-then-checkpoint rounds (the shape of a peel loop) must not
+    compound Spark's size estimate, whose bit length would otherwise
+    double here every round."""
+    df = spark.range(20).withColumnRenamed("id", "x")
+    for _ in range(6):
+        pairs = df.join(df.withColumnRenamed("x", "y"), F.col("x") == F.col("y"))
+        df = checkpoint(pairs.select("x"))
+    assert sorted(r.x for r in df.collect()) == list(range(20))
+    size = df._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
+    assert int(size).bit_length() <= 64

@@ -78,6 +78,18 @@ def test_reduction_report_attached(spark):
     assert "reduce" in res.timings and "search" in res.timings
 
 
+def test_bench_kernel_is_max_rfc_path(spark):
+    """The benchmark harness reduces exactly as ``max_rfc`` does: same
+    stage rows, same kernel vertices and edges."""
+    from repro.bench_harness import kernel
+
+    kern = kernel(spark, "aminer", 4, scale=0.25)
+    v, e = gen.DATASETS["aminer"](scale=0.25)
+    red = max_rfc(from_pandas(spark, v, e).checkpointed(), 4, 2).reduction
+    assert [s[:3] for s in kern.report.stages] == [s[:3] for s in red.stages]
+    assert kern.lg.adj == LocalGraph.from_spark(red.graph).adj  # vertices and edges
+
+
 def test_heuristic_seed_never_worse_locally(spark):
     v, e = gen.DATASETS["flixster"](scale=0.25)
     lg = LocalGraph.from_pandas(v, e)

@@ -2,6 +2,7 @@
 import pandas as pd
 import pytest
 
+import repro.core.reduction as reduction
 from repro.graph import gen
 from repro.graph.builder import from_pandas
 from repro.graph.coloring import color_graph_local
@@ -31,17 +32,48 @@ def dense_graph(spark):
     return g, colors, v, e, lg
 
 
+@pytest.fixture(scope="module")
+def strip_graph(spark):
+    """A long cascade: the 4th power of a 40-vertex path (attributes
+    a, b, b repeating) whose last 8 vertices form a clique. Its enhanced
+    colorful 2-core peels from the far end a few vertices per round and
+    takes 13 batch rounds, so a per-stage round cap would stop short."""
+    n, w = 40, 4
+    v = pd.DataFrame({"id": range(n), "attr": ["abb"[i % 3] for i in range(n)]})
+    pairs = {(i, j) for i in range(n) for j in range(i + 1, min(n, i + w + 1))}
+    pairs |= {(i, j) for i in range(n - 8, n) for j in range(i + 1, n)}
+    e = pd.DataFrame(sorted(pairs), columns=["src", "dst"])
+    g = from_pandas(spark, v, e).checkpointed()
+    colors = color_graph_local(g).localCheckpoint(eager=True)
+    lg = LocalGraph.from_pandas(v, e, colors.toPandas())
+    return g, colors, v, e, lg
+
+
 def _edge_set(g):
     ep = g.edges.toPandas()
     return set(zip(ep["src"].astype(int), ep["dst"].astype(int)))
 
 
-@pytest.mark.parametrize("t", [2, 3, 4])
-def test_en_colorful_core_equals_sequential_reference(dense_graph, t):
-    g, colors, v, e, lg = dense_graph
+@pytest.mark.parametrize(
+    "graph,t",
+    [pytest.param("dense_graph", t, id=str(t)) for t in (2, 3, 4)]
+    + [pytest.param("strip_graph", 2, id="strip-2")],
+)
+def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, graph, t):
+    g, colors, v, e, lg = request.getfixturevalue(graph)
+    rounds = []
+    stats = reduction.vertex_color_stats
+
+    def counted(*args):
+        rounds.append(1)
+        return stats(*args)
+
+    monkeypatch.setattr(reduction, "vertex_color_stats", counted)
     got = set(en_colorful_core(g, colors, t).vertices.toPandas()["id"])
     want = ref.reference_core_peel(lg, t, enhanced=True)
     assert got == want
+    if graph == "strip_graph":
+        assert len(rounds) > 8 and got
 
 
 @pytest.mark.parametrize("t", [2, 4])
@@ -92,26 +124,20 @@ def test_ensup_subset_of_sup(dense_graph):
 def test_reduction_preserves_optimum(dense_graph, k, delta):
     """The central safety property (Lemmas 1–4): the reduced graph holds a
     maximum fair clique of the original."""
-    g, colors, v, e, lg = dense_graph
+    g, _, v, e, lg = dense_graph
     opt = brute_force_size(lg, k, delta)
-    rep = reduce_pipeline(g, k, colors=colors)
+    rep = reduce_pipeline(g, k)
     red = LocalGraph.from_spark(rep.graph, rep.colors)
     assert brute_force_size(red, k, delta) == opt
 
 
 def test_pipeline_monotone_shrink(dense_graph):
-    g, colors, *_ = dense_graph
-    rep = reduce_pipeline(g, 4, colors=colors)
+    g, *_ = dense_graph
+    rep = reduce_pipeline(g, 4)
     sizes = [(n, m) for _, n, m, _ in rep.stages]
     for (n1, m1), (n2, m2) in zip(sizes, sizes[1:]):
         assert n2 <= n1 and m2 <= m1
     assert [s[0] for s in rep.stages] == ["original", "encore", "sup", "ensup"]
-
-
-def test_pipeline_rejects_unknown_stage(dense_graph):
-    g, colors, *_ = dense_graph
-    with pytest.raises(ValueError):
-        reduce_pipeline(g, 3, stages=("bogus",), colors=colors)
 
 
 def test_paper_example2_shape(spark):
