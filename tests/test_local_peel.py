@@ -1,102 +1,84 @@
-"""Algorithm-1 queue peel: three-way equivalence and hybrid pipeline."""
+"""Spark peels against the one-at-a-time reference on small random graphs.
+
+Each input is a 30-vertex random attributed graph colored on the driver
+(``LocalGraph.recolor``); the same coloring is shipped to Spark so the
+batch peels and ``core/reference.py`` see identical colors.
+"""
+import pandas as pd
 import pytest
 
 from repro.graph import gen
+from repro.graph.builder import from_pandas
 from repro.graph.local import LocalGraph
 from repro.core import reference as ref
-from repro.core.local_peel import (
-    _GroupCounter,
-    apply_local_stage,
-    local_sup_peel,
-    local_vertex_peel,
+from repro.core.reduction import (
+    colorful_core,
+    colorful_sup_reduce,
+    en_colorful_core,
+    reduce_pipeline,
 )
 
 
-def _lg(n=30, p=0.35, seed=0):
-    v, e = gen.random_attributed_graph(n, p, seed=seed)
-    lg = LocalGraph.from_pandas(v, e)
-    lg.recolor()
-    return lg
+@pytest.fixture(scope="module")
+def graphs(spark):
+    """(n, p, seed) -> (Spark graph, Spark colors, LocalGraph), built once."""
+    cache = {}
+
+    def get(n=30, p=0.35, seed=0):
+        if (n, p, seed) not in cache:
+            v, e = gen.random_attributed_graph(n, p, seed=seed)
+            lg = LocalGraph.from_pandas(v, e)
+            lg.recolor()
+            cp = pd.DataFrame({"id": list(lg.color), "color": list(lg.color.values())})
+            colors = spark.createDataFrame(cp, schema="id long, color int")
+            g = from_pandas(spark, v, e).checkpointed()
+            cache[(n, p, seed)] = (g, colors.localCheckpoint(eager=True), lg)
+        return cache[(n, p, seed)]
+
+    return get
 
 
-def test_group_counter_add_remove():
-    gc = _GroupCounter()
-    gc.add(1, "a")
-    gc.add(1, "a")
-    gc.add(2, "b")
-    assert (gc.c_a, gc.c_b, gc.c_m) == (1, 1, 0)
-    gc.add(1, "b")  # color 1 becomes mixed
-    assert (gc.c_a, gc.c_b, gc.c_m) == (0, 1, 1)
-    gc.remove(1, "b")  # back to exclusive a
-    assert (gc.c_a, gc.c_b, gc.c_m) == (1, 1, 0)
-    gc.remove(1, "a")
-    gc.remove(1, "a")
-    assert (gc.c_a, gc.c_b, gc.c_m) == (0, 1, 0)
-    assert 1 not in gc.counts
+def _edge_set(g):
+    ep = g.edges.toPandas()
+    return set(zip(ep["src"].astype(int), ep["dst"].astype(int)))
 
 
-def test_group_counter_derived():
-    gc = _GroupCounter()
-    for c, a in [(0, "a"), (1, "a"), (2, "b"), (3, "a"), (3, "b")]:
-        gc.add(c, a)
-    assert gc.sup_a == 3 and gc.sup_b == 2
-    assert gc.ed == min(3, 2, (2 + 1 + 1) // 2)
+def _vertex_set(g):
+    return set(g.vertices.toPandas()["id"].astype(int))
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("k,enhanced", [(2, False), (2, True), (3, False), (3, True)])
-def test_sup_peel_matches_reference(seed, k, enhanced):
-    lg = _lg(seed=seed)
-    fast = local_sup_peel(lg, k, enhanced=enhanced)
-    slow = ref.reference_sup_peel(lg, k, enhanced=enhanced)
-    assert fast == slow
+def test_sup_peel_matches_reference(graphs, seed, k, enhanced):
+    g, colors, lg = graphs(seed=seed)
+    got = _edge_set(colorful_sup_reduce(g, colors, k, enhanced=enhanced))
+    assert got == ref.reference_sup_peel(lg, k, enhanced=enhanced)
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("t,enhanced", [(2, False), (2, True), (3, True)])
-def test_vertex_peel_matches_reference(seed, t, enhanced):
-    lg = _lg(seed=seed)
-    fast = local_vertex_peel(lg, t, enhanced=enhanced)
-    slow = ref.reference_core_peel(lg, t, enhanced=enhanced)
-    assert fast == slow
+def test_vertex_peel_matches_reference(graphs, seed, t, enhanced):
+    g, colors, lg = graphs(seed=seed)
+    peel = en_colorful_core if enhanced else colorful_core
+    got = _vertex_set(peel(g, colors, t))
+    assert got == ref.reference_core_peel(lg, t, enhanced=enhanced)
 
 
-def test_vertex_peel_zero_threshold():
-    lg = _lg(seed=1)
-    assert local_vertex_peel(lg, 0, enhanced=True) == set(lg.adj)
+def test_vertex_peel_zero_threshold(graphs):
+    g, colors, lg = graphs(seed=1)
+    assert _vertex_set(en_colorful_core(g, colors, 0)) == set(lg.adj)
 
 
-def test_apply_local_stage_chain_preserves_optimum():
+def test_apply_local_stage_chain_preserves_optimum(graphs):
+    """The three-stage pipeline keeps the optimum and ends at a fixpoint."""
     from repro.core.baseline import brute_force_size
 
-    lg = _lg(n=26, p=0.45, seed=3)
+    g, _, lg = graphs(n=26, p=0.45, seed=3)
     k, delta = 2, 1
     opt = brute_force_size(lg, k, delta)
-    cur = lg
-    for s in ("encore", "sup", "ensup"):
-        cur = apply_local_stage(cur, s, k)
-    assert brute_force_size(cur, k, delta) == opt
-    # Fixpoint: re-applying changes nothing.
-    again = apply_local_stage(cur, "ensup", k)
-    assert again.n == cur.n and again.m == cur.m
-
-
-def test_apply_local_stage_rejects_unknown():
-    with pytest.raises(ValueError):
-        apply_local_stage(_lg(seed=0), "bogus", 2)
-
-
-def test_hybrid_pipeline_equals_distributed(spark):
-    """reduce_pipeline with local handoff == pure distributed pipeline."""
-    from repro.graph.builder import from_pandas
-    from repro.core.reduction import reduce_pipeline
-
-    v, e = gen.DATASETS["aminer"](scale=0.25)
-    g = from_pandas(spark, v, e).checkpointed()
-    k = 4
-    pure = reduce_pipeline(g, k, local_threshold=0)
-    hybrid = reduce_pipeline(g, k, colors=pure.colors, local_threshold=10**9)
-    ep_pure = set(map(tuple, pure.graph.edges.toPandas().values))
-    ep_hyb = set(map(tuple, hybrid.graph.edges.toPandas().values))
-    assert ep_pure == ep_hyb
-    assert pure.stage_dict()["ensup"] == hybrid.stage_dict()["ensup"]
+    rep = reduce_pipeline(g, k)
+    red = LocalGraph.from_spark(rep.graph, rep.colors)
+    assert brute_force_size(red, k, delta) == opt
+    # Fixpoint: re-applying the last stage changes nothing.
+    again = colorful_sup_reduce(rep.graph, rep.colors, k, enhanced=True)
+    assert again.counts() == rep.graph.counts()
