@@ -12,14 +12,14 @@ from repro.graph.builder import from_pandas
 from repro.graph.local import LocalGraph
 from repro.core.maxrfc import max_rfc_local
 from repro.core.reduction import reduce_pipeline
-from repro.bench_harness import bench_scale, emit_table
+from repro.bench_harness import emit_table
 
 FRACS = (0.2, 0.4, 0.6, 0.8, 1.0)
 _ROWS: dict[tuple[str, float], tuple[float, float, float, int]] = {}
 
 
 def _sampled(mode: str, frac: float):
-    v, e = gen.DATASETS["flixster"](scale=bench_scale())
+    v, e = gen.DATASETS["flixster"]()
     rng = np.random.default_rng(7)
     if frac < 1.0 and mode == "vertices":
         keep = set(rng.choice(v["id"], size=int(len(v) * frac), replace=False))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.graph import gen
 from repro.graph.builder import degrees
-from repro.bench_harness import bench_scale, emit_table, prepare
+from repro.bench_harness import emit_table, prepare
 
 _ROWS: dict[str, tuple[int, int, int]] = {}
 
@@ -27,7 +27,7 @@ def test_table1_stats(benchmark, spark, name):
 
 def test_print_table1(benchmark, spark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    lines = [f"### Table I (ours) — dataset statistics, scale={bench_scale()}",
+    lines = ["### Table I (ours) — dataset statistics, scale=1.0",
              "", "| dataset | n=\\|V\\| | m=\\|E\\| | d_max |", "|---|---|---|---|"]
     for name in sorted(_ROWS):
         n, m, d = _ROWS[name]

@@ -16,7 +16,6 @@ where Table II differences across configs are fractions of a percent.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -32,11 +31,6 @@ from repro.core.reduction import ReductionReport, reduce_pipeline
 TABLE2_COMBOS = ("ad", "ad+deg", "ad+h", "ad+cd", "ad+ch", "ad+cp")
 
 
-def bench_scale() -> float:
-    """Benchmark dataset scale (override with BENCH_SCALE)."""
-    return float(os.environ.get("BENCH_SCALE", "1.0"))
-
-
 @dataclass
 class Prepared:
     """A dataset lifted to Spark."""
@@ -45,7 +39,6 @@ class Prepared:
     graph: AttributedGraph
     n: int
     m: int
-    gen_seconds: float
 
 
 @dataclass
@@ -63,25 +56,16 @@ _PREPARED: dict[tuple[str, float], Prepared] = {}
 _KERNELS: dict[tuple[str, float, int], Kernel] = {}
 
 
-def prepare(spark: SparkSession, name: str, scale: float | None = None) -> Prepared:
-    scale = bench_scale() if scale is None else scale
+def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
     key = (name, scale)
     if key not in _PREPARED:
-        t0 = time.perf_counter()
         v, e = gen.DATASETS[name](scale=scale)
         g = from_pandas(spark, v, e).checkpointed()
-        _PREPARED[key] = Prepared(
-            name=name,
-            graph=g,
-            n=len(v),
-            m=len(e),
-            gen_seconds=time.perf_counter() - t0,
-        )
+        _PREPARED[key] = Prepared(name=name, graph=g, n=len(v), m=len(e))
     return _PREPARED[key]
 
 
-def kernel(spark: SparkSession, name: str, k: int, scale: float | None = None) -> Kernel:
-    scale = bench_scale() if scale is None else scale
+def kernel(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> Kernel:
     key = (name, scale, k)
     if key not in _KERNELS:
         prep = prepare(spark, name, scale)

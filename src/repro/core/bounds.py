@@ -19,9 +19,6 @@ from __future__ import annotations
 from repro.graph.local import LocalGraph, h_index
 from repro.core.order import colorful_dmin_per_vertex, colorful_peel
 
-ATTR_A = "a"
-ATTR_B = "b"
-
 #: Table-II bound configurations: ub_AD = min(ub_s, ub_a, ub_c, ub_ac,
 #: ub_eac); the rest add one advanced bound on top.
 COMBOS = ("s", "ad", "ad+deg", "ad+h", "ad+cd", "ad+ch", "ad+cp")
@@ -32,18 +29,6 @@ def _fair_pair(x: int, y: int, delta: int) -> int:
     if abs(x - y) <= delta:
         return x + y
     return 2 * min(x, y) + delta
-
-
-def _color_groups(sub: LocalGraph) -> tuple[int, int, int]:
-    """(c_a, c_b, c_m): colors exclusive to a, to b, and mixed."""
-    sub.ensure_colors()
-    attrs_by_color: dict[int, set[str]] = {}
-    for v in sub.adj:
-        attrs_by_color.setdefault(sub.color[v], set()).add(sub.attr[v])
-    c_a = sum(1 for s in attrs_by_color.values() if s == {ATTR_A})
-    c_b = sum(1 for s in attrs_by_color.values() if s == {ATTR_B})
-    c_m = sum(1 for s in attrs_by_color.values() if len(s) == 2)
-    return c_a, c_b, c_m
 
 
 # -- Lemma 5–9: the "advanced" group ub_AD -----------------------------
@@ -61,21 +46,21 @@ def ub_attr(sub: LocalGraph, delta: int) -> int:
 
 def ub_color(sub: LocalGraph) -> int:
     """Lemma 7: number of colors of a greedy coloring of G'."""
-    sub.ensure_colors()
-    return len(set(sub.color[v] for v in sub.adj))
+    return sum(sub.color_groups(sub.adj))
 
 
 def ub_attr_color(sub: LocalGraph, delta: int) -> int:
     """Lemma 8: per-attribute color counts with the δ balance cap."""
-    sub.ensure_colors()
-    cols_a = {sub.color[v] for v in sub.adj if sub.attr[v] == ATTR_A}
-    cols_b = {sub.color[v] for v in sub.adj if sub.attr[v] == ATTR_B}
-    return _fair_pair(len(cols_a), len(cols_b), delta)
+    c_a, c_b, c_m = sub.color_groups(sub.adj)
+    return _fair_pair(c_a + c_m, c_b + c_m, delta)
 
 
 def ub_en_attr_color(sub: LocalGraph, delta: int) -> int:
     """Lemma 9 (corrected form): exclusive/mixed color-group bound."""
-    c_a, c_b, c_m = _color_groups(sub)
+    return _en_attr_color(*sub.color_groups(sub.adj), delta)
+
+
+def _en_attr_color(c_a: int, c_b: int, c_m: int, delta: int) -> int:
     lo, hi = min(c_a, c_b), max(c_a, c_b)
     if lo + c_m >= hi - delta:
         return c_a + c_b + c_m
@@ -83,13 +68,17 @@ def ub_en_attr_color(sub: LocalGraph, delta: int) -> int:
 
 
 def ub_advanced(sub: LocalGraph, delta: int) -> int:
-    """ub_AD: min of the five cheap bounds (paper §VI-A grouping)."""
+    """ub_AD: min of the five cheap bounds (paper §VI-A grouping).
+
+    Lemmas 7–9 all follow from one color-group count of G'.
+    """
+    c_a, c_b, c_m = sub.color_groups(sub.adj)
     return min(
         ub_size(sub),
         ub_attr(sub, delta),
-        ub_color(sub),
-        ub_attr_color(sub, delta),
-        ub_en_attr_color(sub, delta),
+        c_a + c_b + c_m,
+        _fair_pair(c_a + c_m, c_b + c_m, delta),
+        _en_attr_color(c_a, c_b, c_m, delta),
     )
 
 

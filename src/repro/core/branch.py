@@ -24,7 +24,7 @@ fair clique can break the δ balance), so the maximum is never missed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graph.local import LocalGraph
 from repro.core.bounds import compute_ub
@@ -58,7 +58,7 @@ class _State:
     nodes: int = 0
     deadline: float | None = None
     timed_out: bool = False
-    counters: dict = field(default_factory=dict)
+    roots_pruned: int = 0
 
 
 def branch_search(
@@ -94,7 +94,6 @@ def branch_search(
     if lg.n >= 2 * k:
         order = cal_color_od(lg)
         pos = {v: i for i, v in enumerate(order)}
-        roots_pruned = 0
         for u in order:
             if st.deadline and time.perf_counter() > st.deadline:
                 st.timed_out = True
@@ -102,19 +101,18 @@ def branch_search(
             cand = sorted((v for v in lg.adj[u] if pos[v] > pos[u]), key=pos.get)
             floor = max(len(st.best), 2 * k - 1)
             if 1 + len(cand) <= floor:
-                roots_pruned += 1
+                st.roots_pruned += 1
                 continue
             sub = lg.subgraph([u, *cand])
             if compute_ub(sub, delta, ub_combo) <= floor:
-                roots_pruned += 1
+                st.roots_pruned += 1
                 continue
             na = 1 if lg.attr[u] == ATTR_A else 0
             _rec(st, [u], na, 1 - na, cand)
-        st.counters["roots_pruned"] = roots_pruned
     return SearchResult(
         clique=st.best,
         nodes=st.nodes,
-        roots_pruned=st.counters.get("roots_pruned", 0),
+        roots_pruned=st.roots_pruned,
         completed=not st.timed_out,
         seconds=time.perf_counter() - t0,
     )

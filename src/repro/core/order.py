@@ -81,10 +81,8 @@ def colorful_degeneracy(lg: LocalGraph) -> int:
 
 def colorful_dmin_per_vertex(lg: LocalGraph) -> dict[int, int]:
     """D_min(v) = min(D_a, D_b) for every vertex (Def. 2 / Def. 10)."""
-    lg.ensure_colors()
     out: dict[int, int] = {}
     for v, nbrs in lg.adj.items():
-        ca = {lg.color[u] for u in nbrs if lg.attr[u] == "a"}
-        cb = {lg.color[u] for u in nbrs if lg.attr[u] == "b"}
-        out[v] = min(len(ca), len(cb))
+        c_a, c_b, c_m = lg.color_groups(nbrs)
+        out[v] = min(c_a, c_b) + c_m
     return out

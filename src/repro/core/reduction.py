@@ -37,7 +37,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.builder import AttributedGraph, checkpoint, drop_isolated, induced_subgraph
-from repro.graph.coloring import color_graph, color_graph_local
+from repro.graph.coloring import color_graph_local
 from repro.core.supports import (
     edge_color_stats,
     edge_thresholds,
@@ -123,21 +123,19 @@ class ReductionReport:
         return {name: (n, m) for name, n, m, _ in self.stages}
 
 
-def reduce_pipeline(g: AttributedGraph, k: int, *, coloring: str = "driver") -> ReductionReport:
+def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
     """Algorithm 2, lines 1–3: EnColorfulCore → ColorfulSup → EnColorfulSup.
 
     One proper coloring is computed up front and reused (a proper
     coloring remains proper on subgraphs — DESIGN.md §3.3.4). The
-    coloring runs on the driver by default (the greedy algorithm is
-    sequential; see ``color_graph_local``); pass ``coloring="spark"``
-    for the distributed Jones–Plassmann rounds. Every stage peels on
-    Spark to its exact fixpoint.
+    coloring runs on the driver (the greedy algorithm is sequential;
+    see ``color_graph_local``). Every stage peels on Spark to its exact
+    fixpoint.
 
     Returns the reduced graph plus per-stage (n, m, seconds).
     """
     t0 = time.perf_counter()
-    fn = color_graph if coloring == "spark" else color_graph_local
-    colors = fn(g).localCheckpoint(eager=True)
+    colors = color_graph_local(g).localCheckpoint(eager=True)
     n, m = g.counts()
     stages = [("original", n, m, time.perf_counter() - t0)]
     peels = (

@@ -28,9 +28,6 @@ class AttributedGraph:
         """(n, m) — triggers two small actions."""
         return self.vertices.count(), self.edges.count()
 
-    def cache(self) -> "AttributedGraph":
-        return AttributedGraph(self.vertices.cache(), self.edges.cache())
-
     def checkpointed(self) -> "AttributedGraph":
         return AttributedGraph(checkpoint(self.vertices), checkpoint(self.edges))
 

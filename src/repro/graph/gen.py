@@ -6,7 +6,7 @@ qualitative character (see DESIGN.md §4). Generators return plain pandas
 frames — ``vertices (id:int64, attr:str)`` and ``edges (src:int64,
 dst:int64)`` with ``src < dst``, deduplicated, no self loops — so that
 driver-side tests can build a ``LocalGraph`` without Spark, and Spark
-tests lift them with ``to_spark``.
+tests lift them with ``repro.graph.builder.from_pandas``.
 
 Attributes follow the paper's protocol: uniform random 50/50 for the
 five originally non-attributed graphs, skewed for the Aminer analogue.

@@ -66,9 +66,6 @@ class LocalGraph:
     def m(self) -> int:
         return sum(len(s) for s in self.adj.values()) // 2
 
-    def vertices(self) -> list[int]:
-        return list(self.adj)
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -77,7 +74,13 @@ class LocalGraph:
         self.color = sequential_greedy(self.adj)
 
     def ensure_colors(self) -> None:
-        if set(self.color) < set(self.adj):
+        """Color greedily when there are fewer colors than vertices.
+
+        A kept coloring is the graph's own or one of a supergraph (the
+        kernel keeps the coloring of G), so counting suffices; it keeps
+        this O(1) for ``color_groups``, which runs once per neighborhood.
+        """
+        if len(self.color) < len(self.adj):
             self.recolor()
 
     def subgraph(self, verts) -> "LocalGraph":
@@ -99,6 +102,17 @@ class LocalGraph:
         vs = list(verts)
         na = sum(1 for v in vs if self.attr[v] == ATTR_A)
         return na, len(vs) - na
+
+    def color_groups(self, verts) -> tuple[int, int, int]:
+        """(c_a, c_b, c_m): colors among ``verts`` held only by a-vertices,
+        only by b-vertices, and by both (mixed)."""
+        self.ensure_colors()
+        cols_a: set[int] = set()
+        cols_b: set[int] = set()
+        for v in verts:
+            (cols_a if self.attr[v] == ATTR_A else cols_b).add(self.color[v])
+        c_m = len(cols_a & cols_b)
+        return len(cols_a) - c_m, len(cols_b) - c_m, c_m
 
     def is_fair_clique(self, verts, k: int, delta: int) -> bool:
         vs = list(verts)

@@ -2,6 +2,7 @@
 import pandas as pd
 import pytest
 
+from repro.core import bounds, reference
 from repro.graph import gen
 from repro.graph.coloring import sequential_greedy
 from repro.graph.local import LocalGraph, h_index
@@ -61,6 +62,25 @@ def test_attr_counts_and_fairness():
     assert lg.is_fair_clique([0, 1, 2, 3], k=2, delta=0)
     assert not lg.is_fair_clique([0, 1, 2, 3], k=3, delta=0)
     assert not lg.is_fair_clique([0, 1, 2], k=1, delta=0)  # diff 1 > 0
+
+
+@pytest.mark.parametrize("seed,p_a", [(0, 0.5), (1, 0.3), (2, 0.8)])
+def test_color_groups_match_reference_and_bounds(seed, p_a):
+    """Per neighborhood the color groups equal the reference oracle's;
+    over the whole graph they give Lemma 7's and Lemma 8's bounds."""
+    lg = _lg(seed=seed, p_a=p_a)
+    lg.recolor()
+    alive = set(lg.adj)
+    for v in lg.adj:
+        assert lg.color_groups(lg.adj[v]) == reference.vertex_groups(lg, alive, v)
+    c_a, c_b, c_m = lg.color_groups(lg.adj)
+    cols_a = {lg.color[v] for v in lg.adj if lg.attr[v] == "a"}
+    cols_b = {lg.color[v] for v in lg.adj if lg.attr[v] == "b"}
+    assert (c_a + c_m, c_b + c_m) == (len(cols_a), len(cols_b))
+    assert bounds.ub_color(lg) == c_a + c_b + c_m == len(cols_a | cols_b)
+    for delta in (0, 1, 3):
+        x, y = c_a + c_m, c_b + c_m
+        assert bounds.ub_attr_color(lg, delta) == min(x + y, 2 * min(x, y) + delta)
 
 
 def test_recolor_is_proper():

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from repro import synth_data
 from repro.graph import gen
 from repro.graph.builder import from_pandas
 from repro.graph.local import LocalGraph
@@ -100,6 +99,7 @@ def test_heuristic_seed_never_worse_locally(spark):
 
 
 def test_synth_data_attributed_graph_entrypoint(spark):
-    g = synth_data.attributed_graph(spark, "pokec", scale=0.2)
+    """A named analogue lifts to a non-empty Spark ``AttributedGraph``."""
+    g = from_pandas(spark, *gen.DATASETS["pokec"](scale=0.2))
     n, m = g.counts()
     assert n > 0 and m > 0

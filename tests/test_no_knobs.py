@@ -1,0 +1,17 @@
+"""Guards against settings that only ever take their default value."""
+import inspect
+import re
+from pathlib import Path
+
+import repro
+from repro.core.reduction import reduce_pipeline
+
+
+def test_pipeline_has_no_knobs_and_src_reads_no_env():
+    assert list(inspect.signature(reduce_pipeline).parameters) == ["g", "k"]
+    readers = [
+        str(path)
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        if re.search(r"os\.environ|getenv", path.read_text())
+    ]
+    assert readers == []

@@ -1,71 +1,44 @@
-"""Smoke tests for the provided oracle + TPC-H-lite generators.
+"""Self-tests of the DuckDB oracle on graph data.
 
-The paper is a graph paper, but the repo ships a relational oracle and
-TPC-H-lite generators; these tests keep both exercised so the oracle's
-behaviour (column matching, sorted-row diffing) is known-good where the
-graph tests rely on it.
+The graph tests trust ``assert_equivalent`` to fail when Spark and DuckDB
+disagree, so these check that it rejects a wrong per-vertex degree and a
+mismatched column set. Its positive aggregate and join paths are
+exercised on graph data by ``test_builder_spark``, ``test_supports_spark``
+and ``test_coloring_spark``.
 """
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.graph import gen
 from repro.oracle import assert_equivalent
 
-
-def test_lineitem_aggregate_matches_duckdb(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        F.count("*").alias("cnt"),
-        F.round(F.sum("l_quantity"), 2).alias("qty"),
-    )
-    assert_equivalent(
-        got,
-        """
-        SELECT l_returnflag, COUNT(*) AS cnt,
-               ROUND(SUM(l_quantity), 2) AS qty
-        FROM lineitem GROUP BY 1
-        """,
-        lineitem=li,
-    )
+DEGREE_SQL = """
+    SELECT id, COUNT(*) AS degree
+    FROM (SELECT src AS id FROM edges UNION ALL SELECT dst AS id FROM edges)
+    GROUP BY 1
+"""
 
 
-def test_join_matches_duckdb(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
-    got = (
-        li.join(o, li["l_orderkey"] == o["o_orderkey"])
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("cnt"))
-    )
-    assert_equivalent(
-        got,
-        """
-        SELECT o_orderpriority, COUNT(*) AS cnt
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY 1
-        """,
-        lineitem=li,
-        orders=o,
-    )
+@pytest.fixture(scope="module")
+def edges(spark):
+    _, e = gen.random_attributed_graph(30, 0.2, seed=5)
+    return e, spark.createDataFrame(e)
 
 
-def test_oracle_detects_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("cnt"))
+def _degrees(edf, *, off_by: int = 0):
+    ends = edf.select(F.col("src").alias("id")).union(edf.select(F.col("dst").alias("id")))
+    return ends.groupBy("id").agg((F.count("*") + off_by).alias("degree"))
+
+
+def test_oracle_detects_wrong_result(edges):
+    e, edf = edges
+    assert_equivalent(_degrees(edf), DEGREE_SQL, edges=e)
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY 1",
-            lineitem=li,
-        )
+        assert_equivalent(_degrees(edf, off_by=1), DEGREE_SQL, edges=e)
 
 
-def test_oracle_detects_column_mismatch(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(F.count("*").alias("wrong_name"))
+def test_oracle_detects_column_mismatch(edges):
+    e, edf = edges
+    got = _degrees(edf).withColumnRenamed("degree", "wrong_name")
     with pytest.raises(AssertionError, match="column mismatch"):
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY 1",
-            lineitem=li,
-        )
+        assert_equivalent(got, DEGREE_SQL, edges=e)
