@@ -42,6 +42,11 @@ class MaxRFCResult:
         return len(self.clique)
 
 
+def _check_query(k: int, delta: int) -> None:
+    if k < 1 or delta < 0:
+        raise ValueError(f"need k >= 1 and delta >= 0, got k={k}, delta={delta}")
+
+
 def max_rfc_local(
     lg: LocalGraph,
     k: int,
@@ -53,6 +58,7 @@ def max_rfc_local(
     time_limit: float | None = None,
 ) -> MaxRFCResult:
     """MaxRFC on an in-memory kernel (steps 4–5 of the pipeline)."""
+    _check_query(k, delta)
     timings: dict[str, float] = {}
     heur_clique: list[int] = []
     g = lg
@@ -95,6 +101,7 @@ def max_rfc(
     time_limit: float | None = None,
 ) -> MaxRFCResult:
     """Full Spark-reduce-then-search pipeline (Algorithm 2)."""
+    _check_query(k, delta)
     t0 = time.perf_counter()
     report = reduce_pipeline(g, k)
     t_reduce = time.perf_counter() - t0

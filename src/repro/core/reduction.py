@@ -16,11 +16,11 @@ recomputes. Both converge to the same unique maximal subgraph (the
 constraints are monotone, so feasible subgraphs are closed under union —
 see DESIGN.md §2); a test checks batch output == sequential reference.
 
-Each round materializes the stats frame once with
-``builder.checkpoint`` (truncating lineage, dropping the plan's size
-estimate, and avoiding a second triangle-join evaluation for the
-emptiness probe), then derives both the convergence check and the next
-edge set from the materialized result.
+All four run one edge-peel loop, ``_peel``: a vertex with metric below
+t ≥ 1 is peeled by dropping its edges (isolated, its metric is 0 and it
+never returns); one ``drop_isolated`` ends the loop. Each round
+checkpoints a ``(src, dst, ok)`` frame once (``builder.checkpoint``),
+probes it for a not-ok edge, and keeps the ok edges.
 
 ``reduce_pipeline`` chains EnColorfulCore(k−1) → ColorfulSup(k) →
 EnColorfulSup(k) exactly as Algorithm 2 lines 1–3, reporting per-stage
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.builder import AttributedGraph, checkpoint, drop_isolated, induced_subgraph
+from repro.graph.builder import AttributedGraph, checkpoint, drop_isolated
 from repro.graph.coloring import color_graph_local
 from repro.core.supports import (
     edge_color_stats,
@@ -46,22 +46,30 @@ from repro.core.supports import (
 )
 
 
+def _peel(g: AttributedGraph, flag) -> AttributedGraph:
+    """Drop the edges not ``ok`` in ``flag(cur)``, a ``(src, dst, ok)``
+    frame, until none is left; then drop the isolated vertices."""
+    cur = g.checkpointed()
+    for _ in range(10_000):
+        flagged = checkpoint(flag(cur))
+        if flagged.where(~F.col("ok")).isEmpty():
+            return drop_isolated(cur)
+        cur = AttributedGraph(cur.vertices, flagged.where(F.col("ok")).select("src", "dst"))
+    raise RuntimeError("peel did not converge")
+
+
 def _vertex_peel(g: AttributedGraph, colors: DataFrame, t: int, metric_col) -> AttributedGraph:
     """Peel vertices whose metric (a column over vertex_color_stats) < t."""
     if t <= 0:
         return g
-    cur = g.checkpointed()
-    for _ in range(10_000):
-        stats = vertex_color_stats(cur, colors).withColumn("metric", metric_col)
-        vals = checkpoint(
-            cur.vertices.join(F.broadcast(stats.select("id", "metric")), "id", "left")
-            .select("id", F.coalesce(F.col("metric"), F.lit(0)).alias("val"))
-        )
-        if vals.where(F.col("val") < t).isEmpty():
-            return cur
-        keep = vals.where(F.col("val") >= t).select("id")
-        cur = induced_subgraph(cur, keep).checkpointed()
-    raise RuntimeError("vertex peel did not converge")
+
+    def flag(cur: AttributedGraph) -> DataFrame:
+        ok = vertex_color_stats(cur, colors).select("id", metric_col >= t)
+        e = cur.edges.join(F.broadcast(ok.toDF("src", "ok_src")), "src")
+        e = e.join(F.broadcast(ok.toDF("dst", "ok_dst")), "dst")
+        return e.select("src", "dst", (F.col("ok_src") & F.col("ok_dst")).alias("ok"))
+
+    return _peel(g, flag)
 
 
 def colorful_core(g: AttributedGraph, colors: DataFrame, t: int) -> AttributedGraph:
@@ -94,21 +102,10 @@ def colorful_sup_reduce(
     mixed-color assignment of Def. 7 instead of raw colorful supports.
     Vertices that lose all incident edges are dropped at the end.
     """
-    cur = g.checkpointed()
     ka, kb = edge_thresholds(k)
-    for _ in range(10_000):
-        stats = edge_color_stats(cur, colors).withColumn("ka", ka).withColumn("kb", kb)
-        if enhanced:
-            esa, esb = enhanced_support_cols(k)
-            ok = (esa >= F.col("ka")) & (esb >= F.col("kb"))
-        else:
-            ok = (F.col("sup_a") >= F.col("ka")) & (F.col("sup_b") >= F.col("kb"))
-        flagged = checkpoint(stats.select("src", "dst", ok.alias("ok")))
-        if flagged.where(~F.col("ok")).isEmpty():
-            return drop_isolated(cur)
-        keep = flagged.where(F.col("ok")).select("src", "dst")
-        cur = AttributedGraph(cur.vertices, keep)
-    raise RuntimeError("colorful_sup_reduce did not converge")
+    sup_a, sup_b = enhanced_support_cols(ka, kb) if enhanced else (F.col("sup_a"), F.col("sup_b"))
+    ok = ((sup_a >= ka) & (sup_b >= kb)).alias("ok")
+    return _peel(g, lambda cur: edge_color_stats(cur, colors).select("src", "dst", ok))
 
 
 @dataclass
@@ -139,14 +136,15 @@ def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
     n, m = g.counts()
     stages = [("original", n, m, time.perf_counter() - t0)]
     peels = (
-        ("encore", lambda h: en_colorful_core(h, colors, k - 1)),
+        # At k = 1 the threshold is 0 and EnColorfulCore returns its input.
+        ("encore", lambda h: drop_isolated(en_colorful_core(h, colors, k - 1))),
         ("sup", lambda h: colorful_sup_reduce(h, colors, k)),
         ("ensup", lambda h: colorful_sup_reduce(h, colors, k, enhanced=True)),
     )
     cur = g
     for name, peel in peels:
         t0 = time.perf_counter()
-        cur = drop_isolated(peel(cur))
+        cur = peel(cur)
         n, m = cur.counts()
         stages.append((name, n, m, time.perf_counter() - t0))
     return ReductionReport(graph=cur, colors=colors, stages=stages)

@@ -120,20 +120,21 @@ def edge_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
     return out
 
 
-def enhanced_support_cols(k: int):
+def enhanced_support_cols(ka, kb):
     """Column expressions (esup_a, esup_b) for the enhanced colorful support.
 
     Implements the paper's greedy mixed-color assignment for an edge with
-    groups (c_a, c_b, c_m) and attribute-pair thresholds (ka, kb): assign
-    γ = min(max(0, ka−c_a), c_m) mixed colors to attribute a, the rest to
-    b's demand. Requires columns c_a, c_b, c_m, ka, kb.
+    groups (c_a, c_b, c_m) and attribute-pair thresholds (ka, kb), given
+    as column expressions: assign γ = min(max(0, ka−c_a), c_m) mixed
+    colors to attribute a, the rest to b's demand. Requires columns c_a,
+    c_b, c_m.
     """
-    need_a = F.greatest(F.lit(0), F.col("ka") - F.col("c_a"))
+    need_a = F.greatest(F.lit(0), ka - F.col("c_a"))
     gamma = F.least(need_a, F.col("c_m"))
-    esup_a = F.when(F.col("c_a") < F.col("ka"), F.col("c_a") + gamma).otherwise(F.col("c_a"))
+    esup_a = F.when(F.col("c_a") < ka, F.col("c_a") + gamma).otherwise(F.col("c_a"))
     rem = F.col("c_m") - gamma
-    need_b = F.greatest(F.lit(0), F.col("kb") - F.col("c_b"))
-    esup_b = F.when(F.col("c_b") < F.col("kb"), F.col("c_b") + F.least(need_b, rem)).otherwise(
+    need_b = F.greatest(F.lit(0), kb - F.col("c_b"))
+    esup_b = F.when(F.col("c_b") < kb, F.col("c_b") + F.least(need_b, rem)).otherwise(
         F.col("c_b")
     )
     return esup_a, esup_b

@@ -57,13 +57,25 @@ def canonicalize_edges(edges: DataFrame) -> DataFrame:
     return edges.select(lo, hi).where(F.col("src") != F.col("dst")).distinct()
 
 
+def check_frames(vertices: pd.DataFrame, edges: pd.DataFrame) -> None:
+    """Raise ``ValueError`` unless vertex ids are unique, every attribute
+    is ``a`` or ``b``, and every edge endpoint is a declared vertex."""
+    ids = vertices["id"]
+    if ids.duplicated().any():
+        raise ValueError(f"duplicate vertex ids: {sorted(set(ids[ids.duplicated()]))[:5]}")
+    labels = set(vertices["attr"]) - {"a", "b"}
+    if labels:
+        raise ValueError(f"vertex attributes must be 'a' or 'b', got {sorted(map(repr, labels))}")
+    undeclared = set(edges["src"]).union(edges["dst"]).difference(ids)
+    if undeclared:
+        raise ValueError(f"edge endpoints that are not vertices: {sorted(undeclared)[:5]}")
+
+
 def from_pandas(spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame) -> AttributedGraph:
     """Lift the pandas frames produced by ``repro.graph.gen`` into Spark."""
+    check_frames(vertices, edges)
     vdf = spark.createDataFrame(vertices, schema="id long, attr string")
-    if len(edges) == 0:
-        edf = spark.createDataFrame([], schema="src long, dst long")
-    else:
-        edf = spark.createDataFrame(edges, schema="src long, dst long")
+    edf = spark.createDataFrame(edges, schema="src long, dst long")
     return AttributedGraph(vdf, canonicalize_edges(edf))
 
 
@@ -81,18 +93,6 @@ def degrees(g: AttributedGraph) -> DataFrame:
         g.vertices.join(F.broadcast(d), g.vertices["id"] == d["src"], "left")
         .select("id", F.coalesce("degree", F.lit(0)).alias("degree"))
     )
-
-
-def induced_subgraph(g: AttributedGraph, keep_ids: DataFrame) -> AttributedGraph:
-    """Subgraph induced by ``keep_ids`` (a DataFrame with an ``id`` column)."""
-    ids = F.broadcast(keep_ids.select("id").distinct())
-    v = g.vertices.join(ids, "id", "inner")
-    e = (
-        g.edges.join(ids.withColumnRenamed("id", "src"), "src", "inner")
-        .join(ids.withColumnRenamed("id", "dst"), "dst", "inner")
-        .select("src", "dst")
-    )
-    return AttributedGraph(v, e)
 
 
 def drop_isolated(g: AttributedGraph) -> AttributedGraph:

@@ -21,21 +21,20 @@ from pyspark.sql import functions as F
 from repro.graph.builder import AttributedGraph, degrees, symmetrize
 
 
-def color_graph(g: AttributedGraph, *, max_iter: int = 2000) -> DataFrame:
+def color_graph(g: AttributedGraph) -> DataFrame:
     """Color every vertex; returns (id, color) with color in 0..C-1.
 
     Pregel-style rounds over DataFrames with ``localCheckpoint`` per
-    round. Raises if the priority dependency depth exceeds ``max_iter``
-    (cannot happen for max_iter ≥ n).
+    round, until no vertex is uncolored. Every round colors at least the
+    top-priority uncolored vertex, which is always ready, so there are
+    at most n rounds.
     """
     spark = g.vertices.sparkSession
     sym = symmetrize(g.edges).localCheckpoint(eager=True)
     un = degrees(g).localCheckpoint(eager=True)  # uncolored: (id, degree)
     colored = spark.createDataFrame([], schema="id long, color int")
 
-    for _ in range(max_iter):
-        if un.isEmpty():
-            return colored
+    while not un.isEmpty():
         # Edges between two still-uncolored vertices, with both priorities.
         u1 = F.broadcast(un.select(F.col("id").alias("src"), F.col("degree").alias("sdeg")))
         u2 = F.broadcast(un.select(F.col("id").alias("dst"), F.col("degree").alias("ddeg")))
@@ -74,7 +73,7 @@ def color_graph(g: AttributedGraph, *, max_iter: int = 2000) -> DataFrame:
         )
         colored = colored.union(newly).localCheckpoint(eager=True)
         un = un.join(F.broadcast(newly.select("id")), "id", "left_anti").localCheckpoint(eager=True)
-    raise RuntimeError(f"color_graph did not converge within {max_iter} rounds")
+    return colored
 
 
 def color_graph_local(g: AttributedGraph) -> DataFrame:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 
+from repro.graph.builder import check_frames
 from repro.graph.coloring import sequential_greedy
 
 ATTR_A = "a"
@@ -33,15 +34,15 @@ class LocalGraph:
         edges: pd.DataFrame,
         colors: pd.DataFrame | None = None,
     ) -> "LocalGraph":
+        """Build from pandas frames; ``ValueError`` if ``check_frames`` rejects them."""
+        check_frames(vertices, edges)
         attr = dict(zip(vertices["id"].astype(int), vertices["attr"]))
         adj: dict[int, set[int]] = {int(v): set() for v in vertices["id"]}
         for u, v in zip(edges["src"].astype(int), edges["dst"].astype(int)):
             if u == v:
                 continue
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        for v in adj:
-            attr.setdefault(v, ATTR_A)
+            adj[u].add(v)
+            adj[v].add(u)
         color = (
             dict(zip(colors["id"].astype(int), colors["color"].astype(int)))
             if colors is not None

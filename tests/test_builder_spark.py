@@ -11,7 +11,6 @@ from repro.graph.builder import (
     degrees,
     drop_isolated,
     from_pandas,
-    induced_subgraph,
     symmetrize,
 )
 
@@ -57,18 +56,6 @@ def test_degrees_against_duckdb(small_graph):
         edges=e,
         vertices=v,
     )
-
-
-def test_induced_subgraph_matches_pandas(small_graph):
-    v, e, g = small_graph
-    keep = v["id"].iloc[:40]
-    spark = g.vertices.sparkSession
-    keep_df = spark.createDataFrame(pd.DataFrame({"id": keep}), schema="id long")
-    sub = induced_subgraph(g, keep_df)
-    ep = sub.edges.toPandas()
-    expect = e[e["src"].isin(set(keep)) & e["dst"].isin(set(keep))]
-    assert set(map(tuple, ep.values)) == set(map(tuple, expect.values))
-    assert sub.vertices.count() == 40
 
 
 def test_drop_isolated(spark):

@@ -1,0 +1,49 @@
+"""Input contract: malformed frames and out-of-range (k, δ) raise
+``ValueError`` at the boundary, on the driver and the Spark path alike."""
+import pandas as pd
+import pytest
+
+from repro.graph.builder import from_pandas
+from repro.graph.local import LocalGraph
+from repro.core.maxrfc import max_rfc, max_rfc_local
+
+# A fair triangle plus one more edge: {0, 1, 2} is a (1, 1)-fair clique.
+V = pd.DataFrame({"id": [0, 1, 2, 3], "attr": ["a", "b", "a", "b"]})
+E = pd.DataFrame({"src": [0, 0, 1, 2], "dst": [1, 2, 2, 3]})
+
+
+@pytest.fixture(params=["local", "spark"])
+def lift(request):
+    if request.param == "local":
+        return LocalGraph.from_pandas
+    spark = request.getfixturevalue("spark")
+    return lambda v, e: from_pandas(spark, v, e)
+
+
+def test_undeclared_endpoint_rejected(lift):
+    e = pd.concat([E, pd.DataFrame({"src": [2], "dst": [7]})])
+    with pytest.raises(ValueError, match="not vertices"):
+        lift(V, e)
+
+
+def test_unknown_attribute_rejected(lift):
+    with pytest.raises(ValueError, match="'a' or 'b'"):
+        lift(V.assign(attr=["a", "b", "a", "c"]), E)
+
+
+def test_duplicate_vertex_id_rejected(lift):
+    with pytest.raises(ValueError, match="duplicate"):
+        lift(pd.concat([V, pd.DataFrame({"id": [1], "attr": ["a"]})]), E)
+
+
+@pytest.mark.parametrize("k,delta", [(0, 1), (1, -1)])
+def test_bad_k_or_delta_rejected(spark, k, delta):
+    """Rejected before any Spark job runs."""
+    jobs = spark.sparkContext._jsc.sc().dagScheduler()
+    g = from_pandas(spark, V, E)
+    before = jobs.nextJobId()
+    with pytest.raises(ValueError, match="k >= 1 and delta >= 0"):
+        max_rfc(g, k, delta)
+    assert jobs.nextJobId() == before
+    with pytest.raises(ValueError, match="k >= 1 and delta >= 0"):
+        max_rfc_local(LocalGraph.from_pandas(V, E), k, delta)

@@ -60,8 +60,10 @@ def test_sup_peel_matches_reference(graphs, seed, k, enhanced):
 def test_vertex_peel_matches_reference(graphs, seed, t, enhanced):
     g, colors, lg = graphs(seed=seed)
     peel = en_colorful_core if enhanced else colorful_core
-    got = _vertex_set(peel(g, colors, t))
-    assert got == ref.reference_core_peel(lg, t, enhanced=enhanced)
+    out = peel(g, colors, t)
+    want = ref.reference_core_peel(lg, t, enhanced=enhanced)
+    assert _vertex_set(out) == want
+    assert _edge_set(out) == {(u, v) for u, v in _edge_set(g) if u in want and v in want}
 
 
 def test_vertex_peel_zero_threshold(graphs):

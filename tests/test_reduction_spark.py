@@ -69,9 +69,11 @@ def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, grap
         return stats(*args)
 
     monkeypatch.setattr(reduction, "vertex_color_stats", counted)
-    got = set(en_colorful_core(g, colors, t).vertices.toPandas()["id"])
+    out = en_colorful_core(g, colors, t)
+    got = set(out.vertices.toPandas()["id"])
     want = ref.reference_core_peel(lg, t, enhanced=True)
     assert got == want
+    assert _edge_set(out) == {(u, v) for u, v in _edge_set(g) if u in want and v in want}
     if graph == "strip_graph":
         assert len(rounds) > 8 and got
 
@@ -138,6 +140,26 @@ def test_pipeline_monotone_shrink(dense_graph):
     for (n1, m1), (n2, m2) in zip(sizes, sizes[1:]):
         assert n2 <= n1 and m2 <= m1
     assert [s[0] for s in rep.stages] == ["original", "encore", "sup", "ensup"]
+
+
+def test_pipeline_k1_stage_rows(spark):
+    """At k = 1 EnColorfulCore's threshold is 0: it keeps every vertex,
+    and the ``encore`` row already has the isolated vertices dropped."""
+    v, e = gen.random_attributed_graph(30, 0.2, seed=5)
+    v = pd.concat([v, pd.DataFrame({"id": [100, 101, 102], "attr": ["a", "b", "a"]})])
+    rep = reduce_pipeline(from_pandas(spark, v, e), 1)
+    lg = LocalGraph.from_pandas(v, e, rep.colors.toPandas())
+    touched = {u for uv in map(tuple, e.values) for u in uv}
+
+    def row(edges):
+        return len({u for uv in edges for u in uv}), len(edges)
+
+    assert [s[:3] for s in rep.stages] == [
+        ("original", len(v), len(e)),
+        ("encore", len(touched), len(e)),
+        ("sup", *row(ref.reference_sup_peel(lg, 1, enhanced=False))),
+        ("ensup", *row(ref.reference_sup_peel(lg, 1, enhanced=True))),
+    ]
 
 
 def test_paper_example2_shape(spark):

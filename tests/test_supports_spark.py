@@ -132,7 +132,7 @@ def test_enhanced_support_cols_match_reference(spark, colored_graph):
         for (ka, kb) in [(1, 3), (3, 1), (2, 2), (0, 2)]
     ]
     df = spark.createDataFrame(pd.DataFrame(rows))
-    esa, esb = enhanced_support_cols(k=3)  # k unused by the expressions
+    esa, esb = enhanced_support_cols(F.col("ka"), F.col("kb"))
     got = df.select("c_a", "c_b", "c_m", "ka", "kb",
                     esa.alias("esa"), esb.alias("esb")).toPandas()
     for _, r in got.iterrows():
