@@ -43,7 +43,7 @@ def test_scalability_point(benchmark, spark, mode, frac):
         t0 = time.perf_counter()
         rep = reduce_pipeline(g, k)
         t_red = time.perf_counter() - t0
-        lg = LocalGraph.from_spark(rep.graph, rep.colors)
+        lg = LocalGraph.from_spark(rep.graph)
         t0 = time.perf_counter()
         base = max_rfc_local(lg, k, delta, ub_combo="s", node_prune="basic",
                              use_heuristic=False, time_limit=60)

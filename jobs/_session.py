@@ -1,8 +1,10 @@
-"""Shared SparkSession builder for the spark-submit entrypoints.
+"""The one SparkSession config, shared by the spark-submit entrypoints,
+the benchmark and the test fixture (the root ``conftest.py``).
 
-Mirrors the test fixture's configuration (Arrow on, broadcast autojoin
-off so shuffle paths are exercised; iterative loops use explicit
-broadcast hints where the small side is provably small).
+Arrow on; 8 shuffle partitions keep the tiny iterative peel jobs
+low-latency; broadcast autojoin off so shuffle paths are exercised
+(iterative loops use explicit broadcast hints where the small side is
+provably small).
 """
 from pyspark.sql import SparkSession
 

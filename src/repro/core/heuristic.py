@@ -10,7 +10,8 @@ it is returned only if it meets the fairness constraints.
 
 Algorithm 6 (HeurRFC) runs DegHeur, prunes to the (|R*|−1)-core, runs
 ColorfulDegHeur, keeps the larger clique, and reports the color count of
-the re-colored residual graph as a global upper bound.
+a fresh greedy coloring of the residual graph as a global upper bound
+(the input graph's own coloring is left as it is).
 
 Both run in O(|V| + |E|) on the driver-side kernel.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.graph.coloring import sequential_greedy
 from repro.graph.local import LocalGraph
 from repro.core.order import colorful_dmin_per_vertex
 
@@ -108,9 +110,6 @@ def heur_rfc(lg: LocalGraph, k: int, delta: int) -> HeurResult:
     if len(r2) > len(best):
         best = r2
         g = g.k_core(len(best) - 1)
-    if g.adj:
-        g.recolor()
-        ub = len(set(g.color.values()))
-    else:
-        ub = len(best)
+    # Colors of a fresh greedy coloring of g; g's own (the caller's) stay.
+    ub = len(set(sequential_greedy(g.adj).values()))
     return HeurResult(clique=best, ub=max(ub, len(best)), graph=g)

@@ -2,7 +2,8 @@
 
 ``max_rfc`` wires the pieces together:
 
-1. one greedy coloring of G on the driver, shipped back to Spark;
+1. one greedy coloring of G on the driver, shipped back to Spark as
+   the ``color`` column of the vertex frame;
 2. Spark reductions EnColorfulCore(k−1) → ColorfulSup(k) →
    EnColorfulSup(k) (Algorithm 2, lines 1–3);
 3. collect the (small) kernel to the driver as a ``LocalGraph``;
@@ -106,7 +107,7 @@ def max_rfc(
     report = reduce_pipeline(g, k)
     t_reduce = time.perf_counter() - t0
     t0 = time.perf_counter()
-    lg = LocalGraph.from_spark(report.graph, report.colors)
+    lg = LocalGraph.from_spark(report.graph)
     t_collect = time.perf_counter() - t0
     res = max_rfc_local(
         lg,

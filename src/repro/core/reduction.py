@@ -16,9 +16,12 @@ recomputes. Both converge to the same unique maximal subgraph (the
 constraints are monotone, so feasible subgraphs are closed under union —
 see DESIGN.md §2); a test checks batch output == sequential reference.
 
-All four run one edge-peel loop, ``_peel``: a vertex with metric below
-t ≥ 1 is peeled by dropping its edges (isolated, its metric is 0 and it
-never returns); one ``drop_isolated`` ends the loop. Each round
+Every reduction takes a colored graph (vertices ``(id, attr, color)``,
+from ``color_graph_local``) and returns one, so the one coloring of G
+rides along on the vertex frame. All run one edge-peel loop, ``_peel``:
+a vertex with metric below t ≥ 1 is peeled by dropping its edges
+(isolated, its metric is 0 and it never returns); one ``drop_isolated``
+ends the loop. Each round
 checkpoints a ``(src, dst, ok)`` frame once (``builder.checkpoint``),
 probes it for a not-ok edge, and keeps the ok edges.
 
@@ -58,13 +61,13 @@ def _peel(g: AttributedGraph, flag) -> AttributedGraph:
     raise RuntimeError("peel did not converge")
 
 
-def _vertex_peel(g: AttributedGraph, colors: DataFrame, t: int, metric_col) -> AttributedGraph:
+def _vertex_peel(g: AttributedGraph, t: int, metric_col) -> AttributedGraph:
     """Peel vertices whose metric (a column over vertex_color_stats) < t."""
     if t <= 0:
         return g
 
     def flag(cur: AttributedGraph) -> DataFrame:
-        ok = vertex_color_stats(cur, colors).select("id", metric_col >= t)
+        ok = vertex_color_stats(cur).select("id", metric_col >= t)
         e = cur.edges.join(F.broadcast(ok.toDF("src", "ok_src")), "src")
         e = e.join(F.broadcast(ok.toDF("dst", "ok_dst")), "dst")
         return e.select("src", "dst", (F.col("ok_src") & F.col("ok_dst")).alias("ok"))
@@ -72,27 +75,25 @@ def _vertex_peel(g: AttributedGraph, colors: DataFrame, t: int, metric_col) -> A
     return _peel(g, flag)
 
 
-def colorful_core(g: AttributedGraph, colors: DataFrame, t: int) -> AttributedGraph:
+def colorful_core(g: AttributedGraph, t: int) -> AttributedGraph:
     """Maximal subgraph with min(D_a, D_b) ≥ t for every vertex (Def. 3).
 
     Lemma 1: any (k, δ)-fair clique lives in the colorful (k−1)-core, so
     callers pass ``t = k − 1``.
     """
-    return _vertex_peel(g, colors, t, F.least("d_a", "d_b"))
+    return _vertex_peel(g, t, F.least("d_a", "d_b"))
 
 
-def en_colorful_core(g: AttributedGraph, colors: DataFrame, t: int) -> AttributedGraph:
+def en_colorful_core(g: AttributedGraph, t: int) -> AttributedGraph:
     """Maximal subgraph with ED(u) ≥ t for every vertex (Def. 5).
 
     Lemma 2: any (k, δ)-fair clique lives in the enhanced colorful
     (k−1)-core, so callers pass ``t = k − 1``.
     """
-    return _vertex_peel(g, colors, t, F.col("ed"))
+    return _vertex_peel(g, t, F.col("ed"))
 
 
-def colorful_sup_reduce(
-    g: AttributedGraph, colors: DataFrame, k: int, *, enhanced: bool = False
-) -> AttributedGraph:
+def colorful_sup_reduce(g: AttributedGraph, k: int, *, enhanced: bool = False) -> AttributedGraph:
     """Edge peeling by (enhanced) colorful support — ColorfulSup /
     EnColorfulSup (Lemmas 3 and 4).
 
@@ -105,15 +106,15 @@ def colorful_sup_reduce(
     ka, kb = edge_thresholds(k)
     sup_a, sup_b = enhanced_support_cols(ka, kb) if enhanced else (F.col("sup_a"), F.col("sup_b"))
     ok = ((sup_a >= ka) & (sup_b >= kb)).alias("ok")
-    return _peel(g, lambda cur: edge_color_stats(cur, colors).select("src", "dst", ok))
+    return _peel(g, lambda cur: edge_color_stats(cur).select("src", "dst", ok))
 
 
 @dataclass
 class ReductionReport:
-    """Per-stage (n, m, seconds) from the Algorithm-2 reduction pipeline."""
+    """The reduced, colored graph and per-stage (n, m, seconds) from the
+    Algorithm-2 reduction pipeline."""
 
     graph: AttributedGraph
-    colors: DataFrame
     stages: list[tuple[str, int, int, float]] = field(default_factory=list)
 
     def stage_dict(self) -> dict[str, tuple[int, int]]:
@@ -123,23 +124,22 @@ class ReductionReport:
 def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
     """Algorithm 2, lines 1–3: EnColorfulCore → ColorfulSup → EnColorfulSup.
 
-    One proper coloring is computed up front and reused (a proper
-    coloring remains proper on subgraphs — DESIGN.md §3.3.4). The
-    coloring runs on the driver (the greedy algorithm is sequential;
-    see ``color_graph_local``). Every stage peels on Spark to its exact
-    fixpoint.
+    G is colored once, on the driver (``color_graph_local``), and every
+    stage reads that coloring from the vertex frame (a proper coloring
+    remains proper on subgraphs — DESIGN.md §3.3.4). Every stage peels on
+    Spark to its exact fixpoint.
 
-    Returns the reduced graph plus per-stage (n, m, seconds).
+    Returns the reduced graph, still colored, plus per-stage (n, m, seconds).
     """
     t0 = time.perf_counter()
-    colors = color_graph_local(g).localCheckpoint(eager=True)
+    g = color_graph_local(g)
     n, m = g.counts()
     stages = [("original", n, m, time.perf_counter() - t0)]
     peels = (
         # At k = 1 the threshold is 0 and EnColorfulCore returns its input.
-        ("encore", lambda h: drop_isolated(en_colorful_core(h, colors, k - 1))),
-        ("sup", lambda h: colorful_sup_reduce(h, colors, k)),
-        ("ensup", lambda h: colorful_sup_reduce(h, colors, k, enhanced=True)),
+        ("encore", lambda h: drop_isolated(en_colorful_core(h, k - 1))),
+        ("sup", lambda h: colorful_sup_reduce(h, k)),
+        ("ensup", lambda h: colorful_sup_reduce(h, k, enhanced=True)),
     )
     cur = g
     for name, peel in peels:
@@ -147,4 +147,4 @@ def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
         cur = peel(cur)
         n, m = cur.counts()
         stages.append((name, n, m, time.perf_counter() - t0))
-    return ReductionReport(graph=cur, colors=colors, stages=stages)
+    return ReductionReport(graph=cur, stages=stages)

@@ -16,9 +16,10 @@ Definitions from the paper:
   mixed (``c_m``) groups; mixed colors are greedily assigned to the
   attribute that still needs them.
 
-Everything is one or two Catalyst aggregations; the per-(entity, color)
-``has_a``/``has_b`` flags are shared between the plain and enhanced
-variants.
+The graph is colored: its vertex frame is ``(id, attr, color)``, as
+``coloring.color_graph_local`` returns it. Everything is one or two
+Catalyst aggregations; the per-(entity, color) ``has_a``/``has_b`` flags
+are shared between the plain and enhanced variants.
 """
 from __future__ import annotations
 
@@ -26,13 +27,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.builder import AttributedGraph, symmetrize
-
-_I = lambda c: F.col(c).cast("int")  # noqa: E731
-
-
-def _vc(g: AttributedGraph, colors: DataFrame) -> DataFrame:
-    """(id, attr, color) — vertex attributes joined with colors."""
-    return g.vertices.join(colors, "id")
 
 
 def _group_agg(df: DataFrame, keys: list[str]) -> DataFrame:
@@ -54,17 +48,16 @@ def _group_agg(df: DataFrame, keys: list[str]) -> DataFrame:
     )
 
 
-def vertex_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
-    """Per-vertex (id, d_a, d_b, c_a, c_b, c_m, ed).
+def vertex_color_stats(g: AttributedGraph) -> DataFrame:
+    """Per-vertex (id, d_a, d_b, c_a, c_b, c_m, ed) of a colored graph.
 
     ``d_a``/``d_b`` are the colorful degrees D_a/D_b (Def. 2); ``ed`` is
     the enhanced colorful degree ED (Def. 4). Vertices with no neighbors
     do not appear (callers left-join and fill 0).
     """
-    vc = _vc(g, colors)
     nbrs = (
         symmetrize(g.edges)
-        .join(F.broadcast(vc.withColumnRenamed("id", "dst")), "dst")
+        .join(F.broadcast(g.vertices.withColumnRenamed("id", "dst")), "dst")
         .select(F.col("src").alias("id"), "attr", "color")
     )
     stats = _group_agg(nbrs, ["id"])
@@ -76,8 +69,8 @@ def vertex_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
     return stats.withColumn("ed", ed)
 
 
-def edge_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
-    """Per-edge common-neighbor color stats.
+def edge_color_stats(g: AttributedGraph) -> DataFrame:
+    """Per-edge common-neighbor color stats of a colored graph.
 
     Returns every canonical edge with columns
     ``(src, dst, attr_u, attr_v, sup_a, sup_b, c_a, c_b, c_m)`` where
@@ -90,22 +83,21 @@ def edge_color_stats(g: AttributedGraph, colors: DataFrame) -> DataFrame:
     sides broadcast-hinted: in local mode the adjacency relation is tens
     of thousands of rows and every shuffle costs a scheduler round-trip.
     """
-    vc = _vc(g, colors)
     sym = symmetrize(g.edges)
     s1 = F.broadcast(sym.select(F.col("src").alias("u"), F.col("dst").alias("w")))
     s2 = F.broadcast(sym.select(F.col("src").alias("v"), F.col("dst").alias("w")))
     e = g.edges.select(F.col("src").alias("u"), F.col("dst").alias("v"))
     common = e.join(s1, "u").join(s2, ["v", "w"])
     wstats = common.join(
-        F.broadcast(vc.select(F.col("id").alias("w"), "attr", "color")), "w"
+        F.broadcast(g.vertices.select(F.col("id").alias("w"), "attr", "color")), "w"
     ).select("u", "v", "attr", "color")
     stats = (
         _group_agg(wstats, ["u", "v"])
         .withColumnRenamed("d_a", "sup_a")
         .withColumnRenamed("d_b", "sup_b")
     )
-    va = vc.select(F.col("id").alias("u"), F.col("attr").alias("attr_u"))
-    vb = vc.select(F.col("id").alias("v"), F.col("attr").alias("attr_v"))
+    va = g.vertices.select(F.col("id").alias("u"), F.col("attr").alias("attr_u"))
+    vb = g.vertices.select(F.col("id").alias("v"), F.col("attr").alias("attr_v"))
     out = (
         e.join(F.broadcast(va), "u").join(F.broadcast(vb), "v")
         .join(stats, ["u", "v"], "left")

@@ -2,7 +2,10 @@
 
 ``AttributedGraph`` is a thin immutable holder of two DataFrames:
 
-- ``vertices``: ``(id: long, attr: string)`` — attr ∈ {"a", "b"}
+- ``vertices``: ``(id: long, attr: string)`` — attr ∈ {"a", "b"} — plus
+  ``color: int`` once colored (``coloring.color_graph_local``); the
+  reductions take and return colored graphs, and every operation here
+  keeps the column;
 - ``edges``: canonical undirected edges ``(src: long, dst: long)`` with
   ``src < dst``, deduplicated, no self loops.
 
@@ -19,7 +22,7 @@ from pyspark.sql import functions as F
 
 @dataclass(frozen=True)
 class AttributedGraph:
-    """Vertices (id, attr) + canonical undirected edges (src < dst)."""
+    """Vertices (id, attr[, color]) + canonical undirected edges (src < dst)."""
 
     vertices: DataFrame
     edges: DataFrame

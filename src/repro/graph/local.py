@@ -28,13 +28,12 @@ class LocalGraph:
 
     # -- construction -------------------------------------------------
     @classmethod
-    def from_pandas(
-        cls,
-        vertices: pd.DataFrame,
-        edges: pd.DataFrame,
-        colors: pd.DataFrame | None = None,
-    ) -> "LocalGraph":
-        """Build from pandas frames; ``ValueError`` if ``check_frames`` rejects them."""
+    def from_pandas(cls, vertices: pd.DataFrame, edges: pd.DataFrame) -> "LocalGraph":
+        """Build from pandas frames; ``ValueError`` if ``check_frames`` rejects them.
+
+        A ``color`` column of ``vertices`` (a colored graph's vertex frame)
+        becomes the coloring; without one the graph starts uncolored.
+        """
         check_frames(vertices, edges)
         attr = dict(zip(vertices["id"].astype(int), vertices["attr"]))
         adj: dict[int, set[int]] = {int(v): set() for v in vertices["id"]}
@@ -44,19 +43,17 @@ class LocalGraph:
             adj[u].add(v)
             adj[v].add(u)
         color = (
-            dict(zip(colors["id"].astype(int), colors["color"].astype(int)))
-            if colors is not None
+            dict(zip(vertices["id"].astype(int), vertices["color"].astype(int)))
+            if "color" in vertices
             else {}
         )
         return cls(adj=adj, attr=attr, color=color)
 
     @classmethod
-    def from_spark(cls, g, colors=None) -> "LocalGraph":
-        """Collect a (small!) Spark AttributedGraph to the driver."""
-        vp = g.vertices.toPandas()
-        ep = g.edges.toPandas()
-        cp = colors.toPandas() if colors is not None else None
-        return cls.from_pandas(vp, ep, cp)
+    def from_spark(cls, g) -> "LocalGraph":
+        """Collect a (small!) Spark AttributedGraph, with its colors if the
+        vertex frame has them, to the driver."""
+        return cls.from_pandas(g.vertices.toPandas(), g.edges.toPandas())
 
     # -- basics --------------------------------------------------------
     @property

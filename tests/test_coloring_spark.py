@@ -1,28 +1,19 @@
-"""Distributed coloring tests: exact equality with sequential greedy."""
+"""Driver coloring tests: the colored vertex frame equals sequential greedy."""
 import pandas as pd
 import pytest
 
 from repro.oracle import assert_equivalent
 from repro.graph import gen
 from repro.graph.builder import from_pandas
-from repro.graph.coloring import color_graph, color_graph_local, sequential_greedy
+from repro.graph.coloring import color_graph_local, sequential_greedy
 from repro.graph.local import LocalGraph
 
 
-def _color_maps(v, e, spark_colors):
-    cp = spark_colors.toPandas()
+def _color_maps(v, e, colored):
+    cp = colored.vertices.toPandas()
     got = dict(zip(cp["id"].astype(int), cp["color"].astype(int)))
     ref = sequential_greedy(LocalGraph.from_pandas(v, e).adj)
     return got, ref
-
-
-@pytest.mark.parametrize("seed,p", [(1, 0.1), (5, 0.25)])
-def test_distributed_equals_sequential(spark, seed, p):
-    """Jones–Plassmann with (degree, id) priority == sequential greedy."""
-    v, e = gen.random_attributed_graph(60, p, seed=seed)
-    g = from_pandas(spark, v, e).checkpointed()
-    got, ref = _color_maps(v, e, color_graph(g))
-    assert got == ref
 
 
 def test_driver_coloring_equals_sequential(spark):
@@ -36,7 +27,7 @@ def test_coloring_is_proper_via_duckdb(spark):
     """No edge joins two vertices of the same color (oracle-checked)."""
     v, e = gen.random_attributed_graph(70, 0.15, seed=9)
     g = from_pandas(spark, v, e).checkpointed()
-    colors = color_graph_local(g)
+    colors = color_graph_local(g).vertices
     # Count monochromatic edges in DuckDB; Spark side returns the same
     # count computed with DataFrame joins — both must be zero.
     from pyspark.sql import functions as F
@@ -66,8 +57,8 @@ def test_coloring_is_proper_via_duckdb(spark):
 def test_coloring_deterministic(spark):
     v, e = gen.random_attributed_graph(50, 0.2, seed=3)
     g = from_pandas(spark, v, e).checkpointed()
-    a = color_graph_local(g).toPandas().sort_values("id").reset_index(drop=True)
-    b = color_graph_local(g).toPandas().sort_values("id").reset_index(drop=True)
+    a = color_graph_local(g).vertices.toPandas().sort_values("id").reset_index(drop=True)
+    b = color_graph_local(g).vertices.toPandas().sort_values("id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -75,6 +66,5 @@ def test_coloring_covers_all_vertices_including_isolated(spark):
     v = pd.DataFrame({"id": [0, 1, 2, 9], "attr": ["a", "b", "a", "b"]})
     e = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
     g = from_pandas(spark, v, e)
-    for fn in (color_graph, color_graph_local):
-        cp = fn(g).toPandas()
-        assert set(cp["id"]) == {0, 1, 2, 9}
+    cp = color_graph_local(g).vertices.toPandas()
+    assert set(cp["id"]) == {0, 1, 2, 9}

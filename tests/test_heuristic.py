@@ -90,6 +90,17 @@ def test_heuristic_single_attribute_graph_fails_gracefully():
     assert heur_rfc(lg, 1, 1).clique == []
 
 
+def test_heur_rfc_leaves_input_colors_alone():
+    """No fair clique found: the returned graph is the input, and its
+    coloring (here not the greedy one) must come back unchanged."""
+    v = pd.DataFrame({"id": range(4), "attr": ["a", "b", "a", "b"]})
+    lg = LocalGraph.from_pandas(v, pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]}))
+    lg.color = {0: 5, 1: 6, 2: 5, 3: 6}
+    res = heur_rfc(lg, 2, 1)
+    assert res.clique == [] and res.ub == 2
+    assert lg.color == {0: 5, 1: 6, 2: 5, 3: 6}
+
+
 def test_heuristic_empty_graph():
     lg = LocalGraph(adj={}, attr={})
     assert deg_heur(lg, 1, 1) == []

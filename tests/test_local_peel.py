@@ -1,14 +1,14 @@
 """Spark peels against the one-at-a-time reference on small random graphs.
 
 Each input is a 30-vertex random attributed graph colored on the driver
-(``LocalGraph.recolor``); the same coloring is shipped to Spark so the
-batch peels and ``core/reference.py`` see identical colors.
+(``color_graph_local``) and collected with its colors, so the batch
+peels and ``core/reference.py`` see identical colors.
 """
-import pandas as pd
 import pytest
 
 from repro.graph import gen
 from repro.graph.builder import from_pandas
+from repro.graph.coloring import color_graph_local
 from repro.graph.local import LocalGraph
 from repro.core import reference as ref
 from repro.core.reduction import (
@@ -21,18 +21,14 @@ from repro.core.reduction import (
 
 @pytest.fixture(scope="module")
 def graphs(spark):
-    """(n, p, seed) -> (Spark graph, Spark colors, LocalGraph), built once."""
+    """(n, p, seed) -> (colored Spark graph, LocalGraph), built once."""
     cache = {}
 
     def get(n=30, p=0.35, seed=0):
         if (n, p, seed) not in cache:
             v, e = gen.random_attributed_graph(n, p, seed=seed)
-            lg = LocalGraph.from_pandas(v, e)
-            lg.recolor()
-            cp = pd.DataFrame({"id": list(lg.color), "color": list(lg.color.values())})
-            colors = spark.createDataFrame(cp, schema="id long, color int")
-            g = from_pandas(spark, v, e).checkpointed()
-            cache[(n, p, seed)] = (g, colors.localCheckpoint(eager=True), lg)
+            g = color_graph_local(from_pandas(spark, v, e))
+            cache[(n, p, seed)] = (g, LocalGraph.from_spark(g))
         return cache[(n, p, seed)]
 
     return get
@@ -50,37 +46,37 @@ def _vertex_set(g):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("k,enhanced", [(2, False), (2, True), (3, False), (3, True)])
 def test_sup_peel_matches_reference(graphs, seed, k, enhanced):
-    g, colors, lg = graphs(seed=seed)
-    got = _edge_set(colorful_sup_reduce(g, colors, k, enhanced=enhanced))
+    g, lg = graphs(seed=seed)
+    got = _edge_set(colorful_sup_reduce(g, k, enhanced=enhanced))
     assert got == ref.reference_sup_peel(lg, k, enhanced=enhanced)
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("t,enhanced", [(2, False), (2, True), (3, True)])
 def test_vertex_peel_matches_reference(graphs, seed, t, enhanced):
-    g, colors, lg = graphs(seed=seed)
+    g, lg = graphs(seed=seed)
     peel = en_colorful_core if enhanced else colorful_core
-    out = peel(g, colors, t)
+    out = peel(g, t)
     want = ref.reference_core_peel(lg, t, enhanced=enhanced)
     assert _vertex_set(out) == want
     assert _edge_set(out) == {(u, v) for u, v in _edge_set(g) if u in want and v in want}
 
 
 def test_vertex_peel_zero_threshold(graphs):
-    g, colors, lg = graphs(seed=1)
-    assert _vertex_set(en_colorful_core(g, colors, 0)) == set(lg.adj)
+    g, lg = graphs(seed=1)
+    assert _vertex_set(en_colorful_core(g, 0)) == set(lg.adj)
 
 
 def test_apply_local_stage_chain_preserves_optimum(graphs):
     """The three-stage pipeline keeps the optimum and ends at a fixpoint."""
     from repro.core.baseline import brute_force_size
 
-    g, _, lg = graphs(n=26, p=0.45, seed=3)
+    g, lg = graphs(n=26, p=0.45, seed=3)
     k, delta = 2, 1
     opt = brute_force_size(lg, k, delta)
     rep = reduce_pipeline(g, k)
-    red = LocalGraph.from_spark(rep.graph, rep.colors)
+    red = LocalGraph.from_spark(rep.graph)
     assert brute_force_size(red, k, delta) == opt
     # Fixpoint: re-applying the last stage changes nothing.
-    again = colorful_sup_reduce(rep.graph, rep.colors, k, enhanced=True)
+    again = colorful_sup_reduce(rep.graph, k, enhanced=True)
     assert again.counts() == rep.graph.counts()

@@ -5,12 +5,10 @@ from pathlib import Path
 
 import repro
 from repro.core.reduction import reduce_pipeline
-from repro.graph.coloring import color_graph
 
 
 def test_pipeline_has_no_knobs_and_src_reads_no_env():
     assert list(inspect.signature(reduce_pipeline).parameters) == ["g", "k"]
-    assert list(inspect.signature(color_graph).parameters) == ["g"]
     readers = [
         str(path)
         for path in Path(repro.__file__).parent.rglob("*.py")

@@ -26,10 +26,9 @@ def dense_graph(spark):
 
     gen.plant_fair_clique(edges, v, np.arange(10), cnt_a=5, seed=4)
     e = gen._edges_frame(edges)
-    g = from_pandas(spark, v, e).checkpointed()
-    colors = color_graph_local(g).localCheckpoint(eager=True)
-    lg = LocalGraph.from_pandas(v, e, colors.toPandas())
-    return g, colors, v, e, lg
+    g = color_graph_local(from_pandas(spark, v, e))
+    lg = LocalGraph.from_spark(g)
+    return g, v, e, lg
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +42,9 @@ def strip_graph(spark):
     pairs = {(i, j) for i in range(n) for j in range(i + 1, min(n, i + w + 1))}
     pairs |= {(i, j) for i in range(n - 8, n) for j in range(i + 1, n)}
     e = pd.DataFrame(sorted(pairs), columns=["src", "dst"])
-    g = from_pandas(spark, v, e).checkpointed()
-    colors = color_graph_local(g).localCheckpoint(eager=True)
-    lg = LocalGraph.from_pandas(v, e, colors.toPandas())
-    return g, colors, v, e, lg
+    g = color_graph_local(from_pandas(spark, v, e))
+    lg = LocalGraph.from_spark(g)
+    return g, v, e, lg
 
 
 def _edge_set(g):
@@ -60,7 +58,7 @@ def _edge_set(g):
     + [pytest.param("strip_graph", 2, id="strip-2")],
 )
 def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, graph, t):
-    g, colors, v, e, lg = request.getfixturevalue(graph)
+    g, v, e, lg = request.getfixturevalue(graph)
     rounds = []
     stats = reduction.vertex_color_stats
 
@@ -69,7 +67,7 @@ def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, grap
         return stats(*args)
 
     monkeypatch.setattr(reduction, "vertex_color_stats", counted)
-    out = en_colorful_core(g, colors, t)
+    out = en_colorful_core(g, t)
     got = set(out.vertices.toPandas()["id"])
     want = ref.reference_core_peel(lg, t, enhanced=True)
     assert got == want
@@ -80,25 +78,25 @@ def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, grap
 
 @pytest.mark.parametrize("t", [2, 4])
 def test_colorful_core_equals_sequential_reference(dense_graph, t):
-    g, colors, v, e, lg = dense_graph
-    got = set(colorful_core(g, colors, t).vertices.toPandas()["id"])
+    g, v, e, lg = dense_graph
+    got = set(colorful_core(g, t).vertices.toPandas()["id"])
     want = ref.reference_core_peel(lg, t, enhanced=False)
     assert got == want
 
 
 def test_encore_subset_of_core(dense_graph):
     """ED(u) ≤ D_min(u), so the enhanced core is contained in the core."""
-    g, colors, *_ = dense_graph
-    core = set(colorful_core(g, colors, 3).vertices.toPandas()["id"])
-    encore = set(en_colorful_core(g, colors, 3).vertices.toPandas()["id"])
+    g, *_ = dense_graph
+    core = set(colorful_core(g, 3).vertices.toPandas()["id"])
+    encore = set(en_colorful_core(g, 3).vertices.toPandas()["id"])
     assert encore <= core
 
 
 @pytest.mark.parametrize("k,enhanced", [(3, False), (3, True), (4, False), (4, True)])
 def test_sup_peel_equals_sequential_reference(dense_graph, k, enhanced):
     """Distributed batch edge-peel == one-at-a-time reference peel."""
-    g, colors, v, e, lg = dense_graph
-    got = _edge_set(colorful_sup_reduce(g, colors, k, enhanced=enhanced))
+    g, v, e, lg = dense_graph
+    got = _edge_set(colorful_sup_reduce(g, k, enhanced=enhanced))
     want = ref.reference_sup_peel(lg, k, enhanced=enhanced)
     assert got == want
 
@@ -106,9 +104,9 @@ def test_sup_peel_equals_sequential_reference(dense_graph, k, enhanced):
 def test_sup_fixpoint_satisfies_lemma_conditions(dense_graph):
     """Every surviving edge meets its Lemma-3 thresholds (recomputed
     independently on the reduced edge set)."""
-    g, colors, v, e, lg = dense_graph
+    g, v, e, lg = dense_graph
     k = 4
-    edges = _edge_set(colorful_sup_reduce(g, colors, k))
+    edges = _edge_set(colorful_sup_reduce(g, k))
     for (u, w) in edges:
         c_a, c_b, c_m = ref.edge_groups(lg, edges, u, w)
         ka, kb = ref.thresholds(lg, u, w, k)
@@ -116,9 +114,9 @@ def test_sup_fixpoint_satisfies_lemma_conditions(dense_graph):
 
 
 def test_ensup_subset_of_sup(dense_graph):
-    g, colors, *_ = dense_graph
-    sup = _edge_set(colorful_sup_reduce(g, colors, 4, enhanced=False))
-    ensup = _edge_set(colorful_sup_reduce(g, colors, 4, enhanced=True))
+    g, *_ = dense_graph
+    sup = _edge_set(colorful_sup_reduce(g, 4, enhanced=False))
+    ensup = _edge_set(colorful_sup_reduce(g, 4, enhanced=True))
     assert ensup <= sup
 
 
@@ -126,10 +124,10 @@ def test_ensup_subset_of_sup(dense_graph):
 def test_reduction_preserves_optimum(dense_graph, k, delta):
     """The central safety property (Lemmas 1–4): the reduced graph holds a
     maximum fair clique of the original."""
-    g, _, v, e, lg = dense_graph
+    g, v, e, lg = dense_graph
     opt = brute_force_size(lg, k, delta)
     rep = reduce_pipeline(g, k)
-    red = LocalGraph.from_spark(rep.graph, rep.colors)
+    red = LocalGraph.from_spark(rep.graph)
     assert brute_force_size(red, k, delta) == opt
 
 
@@ -147,8 +145,9 @@ def test_pipeline_k1_stage_rows(spark):
     and the ``encore`` row already has the isolated vertices dropped."""
     v, e = gen.random_attributed_graph(30, 0.2, seed=5)
     v = pd.concat([v, pd.DataFrame({"id": [100, 101, 102], "attr": ["a", "b", "a"]})])
-    rep = reduce_pipeline(from_pandas(spark, v, e), 1)
-    lg = LocalGraph.from_pandas(v, e, rep.colors.toPandas())
+    g = from_pandas(spark, v, e)
+    rep = reduce_pipeline(g, 1)
+    lg = LocalGraph.from_spark(color_graph_local(g))  # G, colored as the pipeline colors it
     touched = {u for uv in map(tuple, e.values) for u in uv}
 
     def row(edges):
@@ -177,6 +176,5 @@ def test_paper_example2_shape(spark):
         [e, pd.DataFrame({"src": [0], "dst": [4]})], ignore_index=True
     )
     g = from_pandas(spark, v, e)
-    colors = color_graph_local(g)
-    red = colorful_sup_reduce(g, colors, 3)
+    red = colorful_sup_reduce(color_graph_local(g), 3)
     assert (0, 1) not in _edge_set(red)

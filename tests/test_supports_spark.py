@@ -22,16 +22,15 @@ WITH sym AS (
 @pytest.fixture(scope="module")
 def colored_graph(spark):
     v, e = gen.random_attributed_graph(70, 0.12, seed=33)
-    g = from_pandas(spark, v, e).checkpointed()
-    colors = color_graph_local(g).localCheckpoint(eager=True)
-    vcol = v.merge(colors.toPandas(), on="id")  # (id, attr, color) pandas
-    lg = LocalGraph.from_pandas(v, e, colors.toPandas())
-    return g, colors, v, e, vcol, lg
+    g = color_graph_local(from_pandas(spark, v, e))
+    vcol = g.vertices.toPandas()  # (id, attr, color) pandas
+    lg = LocalGraph.from_pandas(vcol, e)
+    return g, v, e, vcol, lg
 
 
 def test_colorful_degrees_against_duckdb(colored_graph):
-    g, colors, v, e, vcol, _ = colored_graph
-    got = vertex_color_stats(g, colors).select("id", "d_a", "d_b")
+    g, v, e, vcol, _ = colored_graph
+    got = vertex_color_stats(g).select("id", "d_a", "d_b")
     assert_equivalent(
         got,
         SYM_SQL
@@ -48,8 +47,8 @@ def test_colorful_degrees_against_duckdb(colored_graph):
 
 
 def test_vertex_color_groups_against_reference(colored_graph):
-    g, colors, v, e, vcol, lg = colored_graph
-    got = vertex_color_stats(g, colors).toPandas().set_index("id")
+    g, v, e, vcol, lg = colored_graph
+    got = vertex_color_stats(g).toPandas().set_index("id")
     alive = set(lg.adj)
     for vid in got.index:
         c_a, c_b, c_m = ref.vertex_groups(lg, alive, int(vid))
@@ -60,9 +59,9 @@ def test_vertex_color_groups_against_reference(colored_graph):
 
 
 def test_colorful_support_against_duckdb(colored_graph):
-    g, colors, v, e, vcol, _ = colored_graph
+    g, v, e, vcol, _ = colored_graph
     got = (
-        edge_color_stats(g, colors)
+        edge_color_stats(g)
         .where((F.col("sup_a") + F.col("sup_b")) > 0)
         .select("src", "dst", "sup_a", "sup_b")
     )
@@ -88,8 +87,8 @@ def test_colorful_support_against_duckdb(colored_graph):
 
 
 def test_edge_color_groups_against_reference(colored_graph):
-    g, colors, v, e, vcol, lg = colored_graph
-    got = edge_color_stats(g, colors).toPandas()
+    g, v, e, vcol, lg = colored_graph
+    got = edge_color_stats(g).toPandas()
     edges = set(zip(e["src"].astype(int), e["dst"].astype(int)))
     for _, row in got.iterrows():
         c_a, c_b, c_m = ref.edge_groups(lg, edges, int(row["src"]), int(row["dst"]))
@@ -98,8 +97,8 @@ def test_edge_color_groups_against_reference(colored_graph):
 
 
 def test_zero_stats_edges_have_no_common_neighbors(colored_graph):
-    g, colors, v, e, vcol, lg = colored_graph
-    got = edge_color_stats(g, colors).toPandas()
+    g, v, e, vcol, lg = colored_graph
+    got = edge_color_stats(g).toPandas()
     zero = got[(got["sup_a"] == 0) & (got["sup_b"] == 0)]
     for _, row in zero.iterrows():
         u, w = int(row["src"]), int(row["dst"])
@@ -107,13 +106,13 @@ def test_zero_stats_edges_have_no_common_neighbors(colored_graph):
 
 
 def test_edge_stats_covers_every_edge(colored_graph):
-    g, colors, v, e, *_ = colored_graph
-    assert edge_color_stats(g, colors).count() == len(e)
+    g, v, e, *_ = colored_graph
+    assert edge_color_stats(g).count() == len(e)
 
 
 def test_endpoint_attrs_correct(colored_graph):
-    g, colors, v, e, vcol, lg = colored_graph
-    got = edge_color_stats(g, colors).toPandas()
+    g, v, e, vcol, lg = colored_graph
+    got = edge_color_stats(g).toPandas()
     for _, row in got.iterrows():
         assert row["attr_u"] == lg.attr[int(row["src"])]
         assert row["attr_v"] == lg.attr[int(row["dst"])]
