@@ -21,9 +21,9 @@ from ``color_graph_local``) and returns one, so the one coloring of G
 rides along on the vertex frame. All run one edge-peel loop, ``_peel``:
 a vertex with metric below t ≥ 1 is peeled by dropping its edges
 (isolated, its metric is 0 and it never returns); one ``drop_isolated``
-ends the loop. Each round
-checkpoints a ``(src, dst, ok)`` frame once (``builder.checkpoint``),
-probes it for a not-ok edge, and keeps the ok edges.
+ends the loop. Each round checkpoints a ``(src, dst, ok)`` frame once
+(``builder.checkpoint``), probes it for a not-ok edge, and keeps the ok
+edges.
 
 ``reduce_pipeline`` chains EnColorfulCore(k−1) → ColorfulSup(k) →
 EnColorfulSup(k) exactly as Algorithm 2 lines 1–3, reporting per-stage
