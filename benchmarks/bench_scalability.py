@@ -9,7 +9,6 @@ import pytest
 
 from repro.graph import gen
 from repro.graph.builder import from_pandas
-from repro.graph.local import LocalGraph
 from repro.core.maxrfc import max_rfc_local
 from repro.core.reduction import reduce_pipeline
 from repro.bench_harness import emit_table
@@ -43,7 +42,7 @@ def test_scalability_point(benchmark, spark, mode, frac):
         t0 = time.perf_counter()
         rep = reduce_pipeline(g, k)
         t_red = time.perf_counter() - t0
-        lg = LocalGraph.from_spark(rep.graph)
+        lg = rep.graph
         t0 = time.perf_counter()
         base = max_rfc_local(lg, k, delta, ub_combo="s", node_prune="basic",
                              use_heuristic=False, time_limit=60)

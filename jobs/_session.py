@@ -1,10 +1,10 @@
 """The one SparkSession config, shared by the spark-submit entrypoints,
 the benchmark and the test fixture (the root ``conftest.py``).
 
-Arrow on; 8 shuffle partitions keep the tiny iterative peel jobs
-low-latency; broadcast autojoin off so shuffle paths are exercised
-(iterative loops use explicit broadcast hints where the small side is
-provably small).
+Arrow on, so collecting a graph to the driver (``toPandas``) is one
+columnar transfer; 8 shuffle partitions keep the small jobs left (the
+lift's edge dedup, Table I's degrees, the DuckDB-checked test queries)
+low-latency; broadcast autojoin off so shuffle paths are exercised.
 """
 from pyspark.sql import SparkSession
 

@@ -1,15 +1,14 @@
 """Shared harness for the evaluation-section benchmarks and jobs.
 
-Caches per-(dataset, k) Spark reduction pipelines so the Table-II sweep
+Caches per-(dataset, k) reduction pipelines so the Table-II sweep
 (6 datasets × 10 parameter points × 6 ub configs) pays each reduction
 once — the reduction is identical work for every ub configuration, as
 in the paper, where the configs differ only inside the branch-and-bound.
 ``kernel`` reduces exactly as ``max_rfc`` does — ``reduce_pipeline(g,
-k)``, coloring included, every stage to its exact fixpoint on Spark —
-and collects the result once with ``LocalGraph.from_spark``, which reads
-the kernel's colors from its vertex frame. ``max_rfc_local`` never
-recolors a cached kernel, so every cell searches the same coloring
-whatever order the cells run in.
+k)`` on the lifted graph: one collect, the coloring, every stage to its
+exact fixpoint on the driver — and caches the colored ``LocalGraph`` it
+returns. ``max_rfc_local`` never recolors a cached kernel, so every cell
+searches the same coloring whatever order the cells run in.
 
 Cell times reported for Table II are ``reduce_seconds + heuristic +
 search`` (the full MaxRFC pipeline for that configuration); the
@@ -75,8 +74,7 @@ def kernel(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> Kernel
         t0 = time.perf_counter()
         report = reduce_pipeline(prep.graph, k)
         secs = time.perf_counter() - t0
-        lg = LocalGraph.from_spark(report.graph)
-        _KERNELS[key] = Kernel(name=name, k=k, lg=lg, report=report, reduce_seconds=secs)
+        _KERNELS[key] = Kernel(name=name, k=k, lg=report.graph, report=report, reduce_seconds=secs)
     return _KERNELS[key]
 
 

@@ -1,18 +1,18 @@
-"""End-to-end MaxRFC pipeline (Algorithm 2): Spark reduce → local search.
+"""End-to-end MaxRFC pipeline (Algorithm 2): collect once, reduce and
+search on the driver.
 
 ``max_rfc`` wires the pieces together:
 
-1. one greedy coloring of G on the driver, shipped back to Spark as
-   the ``color`` column of the vertex frame;
-2. Spark reductions EnColorfulCore(k−1) → ColorfulSup(k) →
-   EnColorfulSup(k) (Algorithm 2, lines 1–3);
-3. collect the (small) kernel to the driver as a ``LocalGraph``;
-4. optionally HeurRFC to seed the incumbent and pre-prune the kernel to
+1. collect G from Spark once and color it greedily on the driver;
+2. the reductions EnColorfulCore(k−1) → ColorfulSup(k) →
+   EnColorfulSup(k) (Algorithm 2, lines 1–3), batch-peeled with numpy,
+   giving the kernel as a colored ``LocalGraph``;
+3. optionally HeurRFC to seed the incumbent and pre-prune the kernel to
    the (|R*|−1)-core (the paper's Remark in §V);
-5. branch-and-bound with the configured Table-II upper-bound combo.
+4. branch-and-bound with the configured Table-II upper-bound combo.
 
-``max_rfc_local`` is the driver-only variant used by unit tests and by
-the benchmark harness once a kernel has been collected.
+``max_rfc_local`` is the search-only variant (steps 3–4) used by unit
+tests and by the benchmark harness on a cached kernel.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ def max_rfc_local(
     use_heuristic: bool = True,
     time_limit: float | None = None,
 ) -> MaxRFCResult:
-    """MaxRFC on an in-memory kernel (steps 4–5 of the pipeline)."""
+    """MaxRFC on an in-memory kernel (steps 3–4 of the pipeline)."""
     _check_query(k, delta)
     timings: dict[str, float] = {}
     heur_clique: list[int] = []
@@ -101,16 +101,13 @@ def max_rfc(
     use_heuristic: bool = True,
     time_limit: float | None = None,
 ) -> MaxRFCResult:
-    """Full Spark-reduce-then-search pipeline (Algorithm 2)."""
+    """Full reduce-then-search pipeline (Algorithm 2) on a Spark graph."""
     _check_query(k, delta)
     t0 = time.perf_counter()
     report = reduce_pipeline(g, k)
     t_reduce = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    lg = LocalGraph.from_spark(report.graph)
-    t_collect = time.perf_counter() - t0
     res = max_rfc_local(
-        lg,
+        report.graph,
         k,
         delta,
         ub_combo=ub_combo,
@@ -120,5 +117,4 @@ def max_rfc(
     )
     res.reduction = report
     res.timings["reduce"] = t_reduce
-    res.timings["collect"] = t_collect
     return res

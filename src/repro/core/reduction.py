@@ -1,120 +1,177 @@
-"""Graph reduction techniques (Spark, iterative batch peeling).
+"""Graph reductions, batch-peeled on the driver with numpy.
 
-Implements the paper's four reductions:
+The paper's reductions over a ``ColoredGraph`` (``color_graph_local``):
+``colorful_core`` (Def. 3 / Lemma 1) and ``en_colorful_core`` (Def. 5 /
+Lemma 2) peel vertices with ``min(D_a, D_b) < t`` or ``ED < t``;
+``colorful_sup_reduce`` (Lemmas 3–4, Algorithm 1) peels edges whose
+(enhanced) colorful supports miss the attribute-pair thresholds.
 
-- ``colorful_core`` (Def. 3 / Lemma 1): peel vertices with
-  ``min(D_a, D_b) < t``;
-- ``en_colorful_core`` (Def. 5 / Lemma 2): peel vertices with
-  ``ED < t``;
-- ``colorful_sup_reduce`` (Lemma 3 / Algorithm 1, and the enhanced
-  variant of Lemma 4): peel edges whose (enhanced) colorful supports
-  fall below the attribute-pair thresholds.
+The paper peels one element at a time; each round here removes *all*
+violating edges (a violating vertex loses its edges) and recomputes. The
+constraints are monotone, so both reach the same unique maximal subgraph
+(DESIGN.md §2); tests check batch output == sequential reference.
 
-The paper peels one element at a time with a priority queue; the
-distributed encoding removes *all* violating elements per round and
-recomputes. Both converge to the same unique maximal subgraph (the
-constraints are monotone, so feasible subgraphs are closed under union —
-see DESIGN.md §2); a test checks batch output == sequential reference.
+Color groups (c_a, c_b, c_m) of a vertex's neighbors, or of an edge's
+common neighbors, are popcounts of per-owner a- and b-color bitmasks.
+Common neighbors come from the triangles, each found once from its
+lowest (degree, label)-ranked vertex by looking pairs of its
+out-neighbors up in the sorted oriented edge keys (Chu & Cheng, KDD 2011),
+a bounded block of pairs at a time, so no triangle list is ever built.
 
-Every reduction takes a colored graph (vertices ``(id, attr, color)``,
-from ``color_graph_local``) and returns one, so the one coloring of G
-rides along on the vertex frame. All run one edge-peel loop, ``_peel``:
-a vertex with metric below t ≥ 1 is peeled by dropping its edges
-(isolated, its metric is 0 and it never returns); one ``drop_isolated``
-ends the loop. Each round checkpoints a ``(src, dst, ok)`` frame once
-(``builder.checkpoint``), probes it for a not-ok edge, and keeps the ok
-edges.
-
-``reduce_pipeline`` chains EnColorfulCore(k−1) → ColorfulSup(k) →
-EnColorfulSup(k) exactly as Algorithm 2 lines 1–3, reporting per-stage
-(n, m) so the Fig-4-style reduction tables fall out for free. Every
-stage runs to its exact fixpoint; ``max_rfc``, the jobs and the
-benchmarks all call it the same way.
+``reduce_pipeline`` collects and colors G once and chains
+EnColorfulCore(k−1) → ColorfulSup(k) → EnColorfulSup(k) (Algorithm 2
+lines 1–3), each stage to its exact fixpoint, reporting per-stage (n, m).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
-from repro.graph.builder import AttributedGraph, checkpoint, drop_isolated
-from repro.graph.coloring import color_graph_local
-from repro.core.supports import (
-    edge_color_stats,
-    edge_thresholds,
-    enhanced_support_cols,
-    vertex_color_stats,
-)
+from repro.graph.builder import AttributedGraph
+from repro.graph.coloring import ColoredGraph, color_graph_local
+from repro.graph.local import LocalGraph
 
-
-def _peel(g: AttributedGraph, flag) -> AttributedGraph:
-    """Drop the edges not ``ok`` in ``flag(cur)``, a ``(src, dst, ok)``
-    frame, until none is left; then drop the isolated vertices."""
-    cur = g.checkpointed()
-    for _ in range(10_000):
-        flagged = checkpoint(flag(cur))
-        if flagged.where(~F.col("ok")).isEmpty():
-            return drop_isolated(cur)
-        cur = AttributedGraph(cur.vertices, flagged.where(F.col("ok")).select("src", "dst"))
-    raise RuntimeError("peel did not converge")
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+#: Vertex pairs looked up at once when listing triangles. It bounds one
+#: block's temporaries to a few hundred KB; blocks of 65,536 pairs raised
+#: the driver's peak RSS by 5 MB on the benchmark's analogues.
+_PAIR_BLOCK = 1 << 12
 
 
-def _vertex_peel(g: AttributedGraph, t: int, metric_col) -> AttributedGraph:
-    """Peel vertices whose metric (a column over vertex_color_stats) < t."""
-    if t <= 0:
-        return g
+def _color_groups(g: ColoredGraph, size: int, rows) -> tuple[np.ndarray, ...]:
+    """(c_a, c_b, c_m) for each owner 0..size−1 over the colors of its
+    neighbors; ``rows`` yields (owner, neighbor label) array pairs."""
+    words = int(g.color.max(initial=0)) // 64 + 1
+    masks = np.zeros((2, size, words), dtype=np.uint64)
+    for owner, nbr in rows:
+        c = g.color[nbr]
+        bits = np.left_shift(np.uint64(1), (c & 63).astype(np.uint64))
+        np.bitwise_or.at(masks, (g.is_b[nbr].astype(np.intp), owner, c >> 6), bits)
+    ma, mb = masks
 
-    def flag(cur: AttributedGraph) -> DataFrame:
-        ok = vertex_color_stats(cur).select("id", metric_col >= t)
-        e = cur.edges.join(F.broadcast(ok.toDF("src", "ok_src")), "src")
-        e = e.join(F.broadcast(ok.toDF("dst", "ok_dst")), "dst")
-        return e.select("src", "dst", (F.col("ok_src") & F.col("ok_dst")).alias("ok"))
+    def popcount(x: np.ndarray) -> np.ndarray:
+        return _POPCOUNT[x.view(np.uint8)].reshape(size, 8 * words).sum(axis=1)
 
-    return _peel(g, flag)
-
-
-def colorful_core(g: AttributedGraph, t: int) -> AttributedGraph:
-    """Maximal subgraph with min(D_a, D_b) ≥ t for every vertex (Def. 3).
-
-    Lemma 1: any (k, δ)-fair clique lives in the colorful (k−1)-core, so
-    callers pass ``t = k − 1``.
-    """
-    return _vertex_peel(g, t, F.least("d_a", "d_b"))
+    return popcount(ma & ~mb), popcount(mb & ~ma), popcount(ma & mb)
 
 
-def en_colorful_core(g: AttributedGraph, t: int) -> AttributedGraph:
-    """Maximal subgraph with ED(u) ≥ t for every vertex (Def. 5).
+def _common_neighbors(g: ColoredGraph):
+    """Yield (edge index, common neighbor label) rows, a block at a time:
+    three per triangle, one for each of its edges."""
+    n, m = g.n, g.m
+    deg = np.bincount(g.src, minlength=n) + np.bincount(g.dst, minlength=n)
+    by_rank = np.argsort(deg, kind="stable")  # (degree, label) order
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    a, b = rank[g.src], rank[g.dst]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * n + hi
+    order = np.argsort(key)
+    key, root, tip = key[order], lo[order], hi[order]
+    # Out-neighbors of a root are contiguous and sorted; position p pairs
+    # with the `later[p]` positions after it in its root's run.
+    later = np.searchsorted(root, root, side="right") - np.arange(m) - 1
+    cum = np.cumsum(later)
+    cuts = np.searchsorted(cum, np.arange(_PAIR_BLOCK, cum[-1] if m else 0, _PAIR_BLOCK))
+    for pos in np.split(np.arange(m), cuts):
+        reps = later[pos]
+        first = np.repeat(pos, reps)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+        v, w = tip[first], tip[second]  # v < w: runs are sorted
+        at = np.minimum(np.searchsorted(key, v * n + w), m - 1)
+        hit = key[at] == v * n + w
+        first, second, at = first[hit], second[hit], at[hit]
+        owner = np.concatenate([order[first], order[second], order[at]])
+        yield owner, by_rank[np.concatenate([tip[second], tip[first], root[first]])]
 
-    Lemma 2: any (k, δ)-fair clique lives in the enhanced colorful
-    (k−1)-core, so callers pass ``t = k − 1``.
-    """
-    return _vertex_peel(g, t, F.col("ed"))
+
+def vertex_color_stats(g: ColoredGraph) -> pd.DataFrame:
+    """(id, d_a, d_b, c_a, c_b, c_m, ed) for every vertex of ``g``, in label
+    order: colorful degrees D_a/D_b (Def. 2), color groups, and the
+    enhanced colorful degree ED (Def. 4)."""
+    rows = [(np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src]))]
+    c_a, c_b, c_m = _color_groups(g, g.n, rows)
+    ed = np.minimum(np.minimum(c_a, c_b) + c_m, (c_a + c_b + c_m) // 2)
+    return pd.DataFrame({"id": g.ids, "d_a": c_a + c_m, "d_b": c_b + c_m,
+                         "c_a": c_a, "c_b": c_b, "c_m": c_m, "ed": ed})
 
 
-def colorful_sup_reduce(g: AttributedGraph, k: int, *, enhanced: bool = False) -> AttributedGraph:
-    """Edge peeling by (enhanced) colorful support — ColorfulSup /
-    EnColorfulSup (Lemmas 3 and 4).
+def edge_color_stats(g: ColoredGraph) -> pd.DataFrame:
+    """(src, dst, attr_u, attr_v, sup_a, sup_b, c_a, c_b, c_m) by id for
+    every edge of ``g``, in its order: colorful supports (Def. 6) and the
+    common neighbors' color groups (Def. 7)."""
+    c_a, c_b, c_m = _color_groups(g, g.m, _common_neighbors(g))
+    attr = np.where(g.is_b, "b", "a")
+    return pd.DataFrame({"src": g.ids[g.src], "dst": g.ids[g.dst],
+                         "attr_u": attr[g.src], "attr_v": attr[g.dst],
+                         "sup_a": c_a + c_m, "sup_b": c_b + c_m,
+                         "c_a": c_a, "c_b": c_b, "c_m": c_m})
 
-    Keeps an edge (u,v) iff its supports meet the attribute-pair
-    thresholds: (a,a) → sup_a ≥ k−2 ∧ sup_b ≥ k; (b,b) mirrored;
-    (a,b) → both ≥ k−1. The enhanced variant uses the greedy
-    mixed-color assignment of Def. 7 instead of raw colorful supports.
-    Vertices that lose all incident edges are dropped at the end.
-    """
-    ka, kb = edge_thresholds(k)
-    sup_a, sup_b = enhanced_support_cols(ka, kb) if enhanced else (F.col("sup_a"), F.col("sup_b"))
-    ok = ((sup_a >= ka) & (sup_b >= kb)).alias("ok")
-    return _peel(g, lambda cur: edge_color_stats(cur).select("src", "dst", ok))
+
+def enhanced_supports(c_a, c_b, c_m, ka, kb):
+    """(esup_a, esup_b) by Def. 7's greedy assignment, elementwise: γ =
+    min(max(0, ka − c_a), c_m) mixed colors go to a, then b takes what it
+    still needs of the rest."""
+    gamma = np.minimum(np.maximum(ka - c_a, 0), c_m)
+    return c_a + gamma, c_b + np.minimum(np.maximum(kb - c_b, 0), c_m - gamma)
+
+
+def _peel(g: ColoredGraph, keep) -> ColoredGraph:
+    """Drop the edges ``keep(cur)`` rejects until it rejects none, then
+    the isolated vertices. Every round but the last drops an edge."""
+    while not (ok := keep(g)).all():
+        g = g.keep_edges(ok)
+    return g.drop_isolated()
+
+
+def _vertex_peel(g: ColoredGraph, t: int, metric) -> ColoredGraph:
+    """Peel vertices whose metric (of their vertex_color_stats row) < t."""
+    def keep(cur: ColoredGraph) -> np.ndarray:
+        ok = (metric(vertex_color_stats(cur)) >= t).to_numpy()
+        return ok[cur.src] & ok[cur.dst]
+
+    return _peel(g, keep)
+
+
+def colorful_core(g: ColoredGraph, t: int) -> ColoredGraph:
+    """Maximal subgraph with min(D_a, D_b) ≥ t for every vertex (Def. 3);
+    by Lemma 1 every (k, δ)-fair clique is in the one for t = k − 1."""
+    return _vertex_peel(g, t, lambda s: np.minimum(s["d_a"], s["d_b"]))
+
+
+def en_colorful_core(g: ColoredGraph, t: int) -> ColoredGraph:
+    """Maximal subgraph with ED(u) ≥ t for every vertex (Def. 5); by
+    Lemma 2 every (k, δ)-fair clique is in the one for t = k − 1."""
+    return _vertex_peel(g, t, lambda s: s["ed"])
+
+
+def colorful_sup_reduce(g: ColoredGraph, k: int, *, enhanced: bool = False) -> ColoredGraph:
+    """ColorfulSup / EnColorfulSup (Lemmas 3 and 4): keep an edge iff its
+    (enhanced, Def. 7) colorful supports meet the attribute-pair thresholds
+    (a,a) → sup_a ≥ k−2 ∧ sup_b ≥ k; (b,b) mirrored; (a,b) → both ≥ k−1."""
+    def keep(cur: ColoredGraph) -> np.ndarray:
+        s = edge_color_stats(cur)
+        nb = cur.is_b[cur.src].astype(np.int64) + cur.is_b[cur.dst]
+        ka, kb = k - 2 + nb, k - nb
+        if enhanced:
+            groups = (s[c].to_numpy() for c in ("c_a", "c_b", "c_m"))
+            sup_a, sup_b = enhanced_supports(*groups, ka, kb)
+        else:
+            sup_a, sup_b = s["sup_a"].to_numpy(), s["sup_b"].to_numpy()
+        return (sup_a >= ka) & (sup_b >= kb)
+
+    return _peel(g, keep)
 
 
 @dataclass
 class ReductionReport:
-    """The reduced, colored graph and per-stage (n, m, seconds) from the
+    """The colored kernel and per-stage (n, m, seconds) from the
     Algorithm-2 reduction pipeline."""
 
-    graph: AttributedGraph
+    graph: LocalGraph
     stages: list[tuple[str, int, int, float]] = field(default_factory=list)
 
     def stage_dict(self) -> dict[str, tuple[int, int]]:
@@ -124,27 +181,21 @@ class ReductionReport:
 def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
     """Algorithm 2, lines 1–3: EnColorfulCore → ColorfulSup → EnColorfulSup.
 
-    G is colored once, on the driver (``color_graph_local``), and every
-    stage reads that coloring from the vertex frame (a proper coloring
-    remains proper on subgraphs — DESIGN.md §3.3.4). Every stage peels on
-    Spark to its exact fixpoint.
-
-    Returns the reduced graph, still colored, plus per-stage (n, m, seconds).
+    G is collected and colored once (``color_graph_local``; its time is the
+    ``original`` row's), and every stage peels that coloring (a proper
+    coloring stays proper on subgraphs, DESIGN.md §3.3.4). Returns the
+    kernel as a colored ``LocalGraph`` and per-stage (n, m, seconds).
     """
     t0 = time.perf_counter()
-    g = color_graph_local(g)
-    n, m = g.counts()
-    stages = [("original", n, m, time.perf_counter() - t0)]
+    cur = color_graph_local(g)
+    stages = [("original", cur.n, cur.m, time.perf_counter() - t0)]
     peels = (
-        # At k = 1 the threshold is 0 and EnColorfulCore returns its input.
-        ("encore", lambda h: drop_isolated(en_colorful_core(h, k - 1))),
+        ("encore", lambda h: en_colorful_core(h, k - 1)),
         ("sup", lambda h: colorful_sup_reduce(h, k)),
         ("ensup", lambda h: colorful_sup_reduce(h, k, enhanced=True)),
     )
-    cur = g
     for name, peel in peels:
         t0 = time.perf_counter()
         cur = peel(cur)
-        n, m = cur.counts()
-        stages.append((name, n, m, time.perf_counter() - t0))
-    return ReductionReport(graph=cur, stages=stages)
+        stages.append((name, cur.n, cur.m, time.perf_counter() - t0))
+    return ReductionReport(graph=LocalGraph.from_pandas(*cur.frames()), stages=stages)

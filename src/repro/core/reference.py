@@ -1,9 +1,10 @@
-"""Sequential reference implementations — oracles for the Spark reductions.
+"""Sequential reference implementations — oracles for the reductions.
 
 These mirror the paper's definitions directly over a ``LocalGraph``
 (python sets, one element at a time), so tests can assert that the
-distributed batch-peeling implementations compute exactly the same
-maximal subgraphs. Not used by the production pipeline.
+vectorised batch-peeling implementations in ``core/reduction.py``
+compute exactly the same maximal subgraphs. Not used by the production
+pipeline.
 """
 from __future__ import annotations
 

@@ -1,1 +1,1 @@
-"""Graph substrate: synthetic generators, Spark graph algebra, coloring."""
+"""Graph substrate: synthetic generators, Spark input lift, coloring."""

@@ -2,14 +2,14 @@
 
 ``AttributedGraph`` is a thin immutable holder of two DataFrames:
 
-- ``vertices``: ``(id: long, attr: string)`` — attr ∈ {"a", "b"} — plus
-  ``color: int`` once colored (``coloring.color_graph_local``); the
-  reductions take and return colored graphs, and every operation here
-  keeps the column;
+- ``vertices``: ``(id: long, attr: string)`` — attr ∈ {"a", "b"};
 - ``edges``: canonical undirected edges ``(src: long, dst: long)`` with
   ``src < dst``, deduplicated, no self loops.
 
 All operations are pure DataFrame transformations (Catalyst-planned).
+This is the input side of the pipeline: ``reduce_pipeline`` collects a
+lifted graph once (``coloring.color_graph_local``) and reduces it on the
+driver; ``degrees`` serves Table I.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from pyspark.sql import functions as F
 
 @dataclass(frozen=True)
 class AttributedGraph:
-    """Vertices (id, attr[, color]) + canonical undirected edges (src < dst)."""
+    """Vertices (id, attr) + canonical undirected edges (src < dst)."""
 
     vertices: DataFrame
     edges: DataFrame
@@ -39,12 +39,13 @@ def checkpoint(df: DataFrame) -> DataFrame:
     """``df.localCheckpoint(eager=True)`` without the plan's size estimate.
 
     Spark hands a checkpoint the estimated size of the plan that produced
-    it, and estimates a join as the product of its inputs' sizes. A peel
-    round joins the previous round's checkpoint, so the estimate's bit
-    length multiplies every round (about 3× per edge-peel round) and,
-    after a dozen rounds, query planning stalls in big-integer
+    it, and estimates a join as the product of its inputs' sizes. A loop
+    that joins its previous checkpoint and checkpoints again (the shape
+    of a Spark peel round) multiplies the estimate's bit length every
+    round, and after a dozen rounds query planning stalls in big-integer
     arithmetic. Re-reading the checkpointed rows as a fresh relation
-    gives Spark's default estimate instead; no job is added.
+    gives Spark's default estimate instead, so a checkpointed input
+    plans the same however it was built; no job is added.
     """
     cp = df.localCheckpoint(eager=True)
     jdf = cp.sparkSession._jsparkSession.internalCreateDataFrame(
@@ -96,9 +97,3 @@ def degrees(g: AttributedGraph) -> DataFrame:
         g.vertices.join(F.broadcast(d), g.vertices["id"] == d["src"], "left")
         .select("id", F.coalesce("degree", F.lit(0)).alias("degree"))
     )
-
-
-def drop_isolated(g: AttributedGraph) -> AttributedGraph:
-    """Drop degree-0 vertices (irrelevant to any clique of size ≥ 2)."""
-    ids = F.broadcast(symmetrize(g.edges).select(F.col("src").alias("id")).distinct())
-    return AttributedGraph(g.vertices.join(ids, "id", "inner"), g.edges)

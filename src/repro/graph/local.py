@@ -1,9 +1,10 @@
 """Driver-side kernel graph.
 
-After the Spark reductions the surviving graph is small (the paper's
-Pokec kernel is 55K edges from 44.6M). The branch-and-bound search, the
+After the reductions the surviving graph is small (the paper's Pokec
+kernel is 55K edges from 44.6M). The branch-and-bound search, the
 heuristics, and the per-branch upper bounds are inherently sequential,
-so they run on this collected representation.
+so they run on this adjacency-set representation, which
+``reduce_pipeline`` builds once from the colored kernel.
 """
 from __future__ import annotations
 
@@ -48,12 +49,6 @@ class LocalGraph:
             else {}
         )
         return cls(adj=adj, attr=attr, color=color)
-
-    @classmethod
-    def from_spark(cls, g) -> "LocalGraph":
-        """Collect a (small!) Spark AttributedGraph, with its colors if the
-        vertex frame has them, to the driver."""
-        return cls.from_pandas(g.vertices.toPandas(), g.edges.toPandas())
 
     # -- basics --------------------------------------------------------
     @property

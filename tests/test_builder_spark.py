@@ -9,7 +9,6 @@ from repro.graph.builder import (
     canonicalize_edges,
     checkpoint,
     degrees,
-    drop_isolated,
     from_pandas,
     symmetrize,
 )
@@ -56,13 +55,6 @@ def test_degrees_against_duckdb(small_graph):
         edges=e,
         vertices=v,
     )
-
-
-def test_drop_isolated(spark):
-    v = pd.DataFrame({"id": [0, 1, 2, 3], "attr": ["a", "b", "a", "b"]})
-    e = pd.DataFrame({"src": [0], "dst": [1]})
-    g = drop_isolated(from_pandas(spark, v, e))
-    assert set(g.vertices.toPandas()["id"]) == {0, 1}
 
 
 def test_checkpoint_keeps_rows_and_drops_size_estimate(spark):

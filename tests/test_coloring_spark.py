@@ -10,7 +10,7 @@ from repro.graph.local import LocalGraph
 
 
 def _color_maps(v, e, colored):
-    cp = colored.vertices.toPandas()
+    cp = colored.frames()[0]
     got = dict(zip(cp["id"].astype(int), cp["color"].astype(int)))
     ref = sequential_greedy(LocalGraph.from_pandas(v, e).adj)
     return got, ref
@@ -27,18 +27,13 @@ def test_coloring_is_proper_via_duckdb(spark):
     """No edge joins two vertices of the same color (oracle-checked)."""
     v, e = gen.random_attributed_graph(70, 0.15, seed=9)
     g = from_pandas(spark, v, e).checkpointed()
-    colors = color_graph_local(g).vertices
-    # Count monochromatic edges in DuckDB; Spark side returns the same
-    # count computed with DataFrame joins — both must be zero.
-    from pyspark.sql import functions as F
-
-    c1 = colors.select(F.col("id").alias("src"), F.col("color").alias("c1"))
-    c2 = colors.select(F.col("id").alias("dst"), F.col("color").alias("c2"))
-    mono = (
-        g.edges.join(c1, "src").join(c2, "dst")
-        .where(F.col("c1") == F.col("c2"))
-        .agg(F.count("*").alias("mono"))
-    )
+    colors, edges = color_graph_local(g).frames()
+    # Count monochromatic edges in DuckDB; the driver side returns the
+    # same count computed with pandas merges — both must be zero.
+    c1 = colors.rename(columns={"id": "src", "color": "c1"})[["src", "c1"]]
+    c2 = colors.rename(columns={"id": "dst", "color": "c2"})[["dst", "c2"]]
+    joined = edges.merge(c1, on="src").merge(c2, on="dst")
+    mono = pd.DataFrame({"mono": [int((joined["c1"] == joined["c2"]).sum())]})
     assert_equivalent(
         mono,
         """
@@ -51,14 +46,14 @@ def test_coloring_is_proper_via_duckdb(spark):
         edges=e,
         colors=colors,
     )
-    assert mono.first()["mono"] == 0
+    assert mono["mono"][0] == 0
 
 
 def test_coloring_deterministic(spark):
     v, e = gen.random_attributed_graph(50, 0.2, seed=3)
     g = from_pandas(spark, v, e).checkpointed()
-    a = color_graph_local(g).vertices.toPandas().sort_values("id").reset_index(drop=True)
-    b = color_graph_local(g).vertices.toPandas().sort_values("id").reset_index(drop=True)
+    a = color_graph_local(g).frames()[0].sort_values("id").reset_index(drop=True)
+    b = color_graph_local(g).frames()[0].sort_values("id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -66,5 +61,5 @@ def test_coloring_covers_all_vertices_including_isolated(spark):
     v = pd.DataFrame({"id": [0, 1, 2, 9], "attr": ["a", "b", "a", "b"]})
     e = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
     g = from_pandas(spark, v, e)
-    cp = color_graph_local(g).vertices.toPandas()
+    cp = color_graph_local(g).frames()[0]
     assert set(cp["id"]) == {0, 1, 2, 9}

@@ -1,10 +1,11 @@
-"""Differential checks on degenerate inputs: ``max_rfc`` (Spark reduce,
-then search) ≡ ``max_rfc_local`` (driver search) ≡ brute force.
+"""Differential checks on degenerate inputs: ``max_rfc`` (collect,
+reduce, then search) ≡ ``max_rfc_local`` (search only) ≡ brute force.
 
 The fixed cases cover an empty graph, a graph without edges, a single
-attribute, k = 1 with δ = 0 and k > n/2; a ``hypothesis`` property then
-checks the driver search against brute force on small random attributed
-graphs (driver only, so it stays fast).
+attribute, k = 1 with δ = 0, k > n/2 and sparse, negative and 64-bit
+ids; ``hypothesis`` properties then check the search against brute force
+and each reduction stage against ``core/reference.py`` on small random
+attributed graphs (driver only, so they stay fast).
 """
 import pandas as pd
 import pytest
@@ -12,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import from_pandas
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
+from repro.core import reference as ref
 from repro.core.baseline import brute_force_size
 from repro.core.maxrfc import max_rfc, max_rfc_local
+from repro.core.reduction import colorful_core, colorful_sup_reduce, en_colorful_core
 
 # A 6-clique of 3a + 3b, a path hanging off it and one isolated vertex.
 V = pd.DataFrame({"id": range(9), "attr": ["a", "b"] * 4 + ["a"]})
@@ -23,6 +27,8 @@ E = pd.DataFrame(
     columns=["src", "dst"],
 )
 NO_E = E.iloc[:0]
+# The same graph with ids that are sparse, negative and beyond 2**32.
+SPARSE = {i: (-1) ** i * (2**40 + 7919 * i) for i in range(9)}
 
 CASES = {
     "no_edges": (V, NO_E, 1, 1),
@@ -30,6 +36,7 @@ CASES = {
     "single_attribute": (V.assign(attr="a"), E, 1, 1),
     "k1_delta0": (V, E, 1, 0),
     "k_over_half_n": (V, E, 5, 1),
+    "sparse_ids": (V.assign(id=V["id"].map(SPARSE)), E.apply(lambda c: c.map(SPARSE)), 2, 1),
 }
 
 
@@ -44,9 +51,9 @@ def test_backends_agree_on_degenerate_input(spark, case):
 
 
 @st.composite
-def attributed_graphs(draw):
-    """Vertex and edge frames of a random attributed graph on ≤ 9 vertices."""
-    n = draw(st.integers(0, 9))
+def attributed_graphs(draw, max_n=9):
+    """Vertex and edge frames of a random attributed graph on ≤ max_n vertices."""
+    n = draw(st.integers(0, max_n))
     attrs = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -63,3 +70,32 @@ def test_driver_search_matches_brute_force(frames, k, delta, use_heuristic):
     res = max_rfc_local(lg, k, delta, use_heuristic=use_heuristic)
     assert res.size == brute_force_size(lg, k, delta)
     assert not res.clique or lg.is_fair_clique(res.clique, k, delta)
+
+
+def _vertices(g):
+    return set(g.frames()[0]["id"])
+
+
+def _edges(g):
+    e = g.frames()[1]
+    return set(zip(e["src"], e["dst"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(frames=attributed_graphs(max_n=12), k=st.integers(1, 4))
+def test_driver_stages_match_reference(frames, k):
+    """Each batch peel equals the one-at-a-time reference: both vertex
+    peels on G, then the pipeline's chain EnColorfulCore(k−1) →
+    ColorfulSup(k) → EnColorfulSup(k), each stage on the one before."""
+    g = ColoredGraph.from_pandas(*frames)
+    lg = LocalGraph.from_pandas(*g.frames())
+    for peel, enhanced in ((colorful_core, False), (en_colorful_core, True)):
+        want = ref.reference_core_peel(lg, k - 1, enhanced=enhanced)
+        # The batch peel also drops the isolated vertices (at t = 0 only).
+        assert _vertices(peel(g, k - 1)) == {v for v in want if lg.adj[v] & want}
+    g = en_colorful_core(g, k - 1)
+    for enhanced in (False, True):
+        want = ref.reference_sup_peel(LocalGraph.from_pandas(*g.frames()), k, enhanced=enhanced)
+        g = colorful_sup_reduce(g, k, enhanced=enhanced)
+        assert _edges(g) == want
+        assert _vertices(g) == {u for uv in want for u in uv}

@@ -1,4 +1,4 @@
-"""End-to-end pipeline tests: Spark reduce → search == brute force."""
+"""End-to-end pipeline tests: collect, reduce → search == brute force."""
 import numpy as np
 import pytest
 
@@ -86,7 +86,22 @@ def test_bench_kernel_is_max_rfc_path(spark):
     v, e = gen.DATASETS["aminer"](scale=0.25)
     red = max_rfc(from_pandas(spark, v, e).checkpointed(), 4, 2).reduction
     assert [s[:3] for s in kern.report.stages] == [s[:3] for s in red.stages]
-    assert kern.lg.adj == LocalGraph.from_spark(red.graph).adj  # vertices and edges
+    assert kern.lg.adj == red.graph.adj  # vertices and edges
+    assert kern.lg.color == red.graph.color
+
+
+def test_max_rfc_runs_at_most_two_spark_jobs(spark):
+    """One collect each of the vertices and the edges; the reductions and
+    the search run on the driver. The graph is lifted and checkpointed as
+    the jobs and the benchmark lift it; without the checkpoint the lift's
+    edge dedup runs inside the collect as one more job."""
+    v, e = gen.DATASETS["aminer"](scale=0.25)
+    g = from_pandas(spark, v, e).checkpointed()
+    jobs = spark.sparkContext._jsc.sc().dagScheduler()
+    before = jobs.nextJobId()
+    res = max_rfc(g, 4, 2)
+    assert jobs.nextJobId() - before <= 2
+    assert res.size == brute_force_size(LocalGraph.from_pandas(v, e), 4, 2)
 
 
 def test_heuristic_seed_never_worse_locally(spark):

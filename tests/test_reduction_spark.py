@@ -1,4 +1,4 @@
-"""Spark reduction tests: fixpoint laws, batch≡sequential, optimum safety."""
+"""Reduction tests: fixpoint laws, batch≡sequential, optimum safety."""
 import pandas as pd
 import pytest
 
@@ -27,7 +27,7 @@ def dense_graph(spark):
     gen.plant_fair_clique(edges, v, np.arange(10), cnt_a=5, seed=4)
     e = gen._edges_frame(edges)
     g = color_graph_local(from_pandas(spark, v, e))
-    lg = LocalGraph.from_spark(g)
+    lg = LocalGraph.from_pandas(*g.frames())
     return g, v, e, lg
 
 
@@ -43,13 +43,17 @@ def strip_graph(spark):
     pairs |= {(i, j) for i in range(n - 8, n) for j in range(i + 1, n)}
     e = pd.DataFrame(sorted(pairs), columns=["src", "dst"])
     g = color_graph_local(from_pandas(spark, v, e))
-    lg = LocalGraph.from_spark(g)
+    lg = LocalGraph.from_pandas(*g.frames())
     return g, v, e, lg
 
 
 def _edge_set(g):
-    ep = g.edges.toPandas()
+    ep = g.frames()[1]
     return set(zip(ep["src"].astype(int), ep["dst"].astype(int)))
+
+
+def _vertex_set(g):
+    return set(g.frames()[0]["id"].astype(int))
 
 
 @pytest.mark.parametrize(
@@ -68,7 +72,7 @@ def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, grap
 
     monkeypatch.setattr(reduction, "vertex_color_stats", counted)
     out = en_colorful_core(g, t)
-    got = set(out.vertices.toPandas()["id"])
+    got = _vertex_set(out)
     want = ref.reference_core_peel(lg, t, enhanced=True)
     assert got == want
     assert _edge_set(out) == {(u, v) for u, v in _edge_set(g) if u in want and v in want}
@@ -79,7 +83,7 @@ def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, grap
 @pytest.mark.parametrize("t", [2, 4])
 def test_colorful_core_equals_sequential_reference(dense_graph, t):
     g, v, e, lg = dense_graph
-    got = set(colorful_core(g, t).vertices.toPandas()["id"])
+    got = _vertex_set(colorful_core(g, t))
     want = ref.reference_core_peel(lg, t, enhanced=False)
     assert got == want
 
@@ -87,14 +91,14 @@ def test_colorful_core_equals_sequential_reference(dense_graph, t):
 def test_encore_subset_of_core(dense_graph):
     """ED(u) ≤ D_min(u), so the enhanced core is contained in the core."""
     g, *_ = dense_graph
-    core = set(colorful_core(g, 3).vertices.toPandas()["id"])
-    encore = set(en_colorful_core(g, 3).vertices.toPandas()["id"])
+    core = _vertex_set(colorful_core(g, 3))
+    encore = _vertex_set(en_colorful_core(g, 3))
     assert encore <= core
 
 
 @pytest.mark.parametrize("k,enhanced", [(3, False), (3, True), (4, False), (4, True)])
 def test_sup_peel_equals_sequential_reference(dense_graph, k, enhanced):
-    """Distributed batch edge-peel == one-at-a-time reference peel."""
+    """Batch edge-peel == one-at-a-time reference peel."""
     g, v, e, lg = dense_graph
     got = _edge_set(colorful_sup_reduce(g, k, enhanced=enhanced))
     want = ref.reference_sup_peel(lg, k, enhanced=enhanced)
@@ -121,19 +125,18 @@ def test_ensup_subset_of_sup(dense_graph):
 
 
 @pytest.mark.parametrize("k,delta", [(3, 1), (4, 2)])
-def test_reduction_preserves_optimum(dense_graph, k, delta):
+def test_reduction_preserves_optimum(spark, dense_graph, k, delta):
     """The central safety property (Lemmas 1–4): the reduced graph holds a
     maximum fair clique of the original."""
     g, v, e, lg = dense_graph
     opt = brute_force_size(lg, k, delta)
-    rep = reduce_pipeline(g, k)
-    red = LocalGraph.from_spark(rep.graph)
+    red = reduce_pipeline(from_pandas(spark, v, e), k).graph
     assert brute_force_size(red, k, delta) == opt
 
 
-def test_pipeline_monotone_shrink(dense_graph):
-    g, *_ = dense_graph
-    rep = reduce_pipeline(g, 4)
+def test_pipeline_monotone_shrink(spark, dense_graph):
+    g, v, e, _ = dense_graph
+    rep = reduce_pipeline(from_pandas(spark, v, e), 4)
     sizes = [(n, m) for _, n, m, _ in rep.stages]
     for (n1, m1), (n2, m2) in zip(sizes, sizes[1:]):
         assert n2 <= n1 and m2 <= m1
@@ -147,7 +150,8 @@ def test_pipeline_k1_stage_rows(spark):
     v = pd.concat([v, pd.DataFrame({"id": [100, 101, 102], "attr": ["a", "b", "a"]})])
     g = from_pandas(spark, v, e)
     rep = reduce_pipeline(g, 1)
-    lg = LocalGraph.from_spark(color_graph_local(g))  # G, colored as the pipeline colors it
+    # G, colored as the pipeline colors it
+    lg = LocalGraph.from_pandas(*color_graph_local(g).frames())
     touched = {u for uv in map(tuple, e.values) for u in uv}
 
     def row(edges):

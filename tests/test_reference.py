@@ -1,6 +1,6 @@
 """Tests for the sequential reference implementations themselves.
 
-The references oracle the Spark reductions, so they get their own
+The references oracle the batch reductions, so they get their own
 sanity checks against the raw definitions.
 """
 import pandas as pd

@@ -1,15 +1,16 @@
-"""Colorful degree / support statistics vs the DuckDB oracle + references."""
+"""Colorful degree / support statistics of the driver peel vs the DuckDB
+oracle + references."""
+import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.graph import gen
 from repro.graph.builder import from_pandas
-from repro.graph.coloring import color_graph_local
+from repro.graph.coloring import ColoredGraph, color_graph_local
 from repro.graph.local import LocalGraph
 from repro.core import reference as ref
-from repro.core.supports import edge_color_stats, vertex_color_stats
+from repro.core.reduction import edge_color_stats, enhanced_supports, vertex_color_stats
 
 SYM_SQL = """
 WITH sym AS (
@@ -23,14 +24,14 @@ WITH sym AS (
 def colored_graph(spark):
     v, e = gen.random_attributed_graph(70, 0.12, seed=33)
     g = color_graph_local(from_pandas(spark, v, e))
-    vcol = g.vertices.toPandas()  # (id, attr, color) pandas
+    vcol = g.frames()[0]  # (id, attr, color) pandas
     lg = LocalGraph.from_pandas(vcol, e)
     return g, v, e, vcol, lg
 
 
 def test_colorful_degrees_against_duckdb(colored_graph):
     g, v, e, vcol, _ = colored_graph
-    got = vertex_color_stats(g).select("id", "d_a", "d_b")
+    got = vertex_color_stats(g)[["id", "d_a", "d_b"]]
     assert_equivalent(
         got,
         SYM_SQL
@@ -48,7 +49,7 @@ def test_colorful_degrees_against_duckdb(colored_graph):
 
 def test_vertex_color_groups_against_reference(colored_graph):
     g, v, e, vcol, lg = colored_graph
-    got = vertex_color_stats(g).toPandas().set_index("id")
+    got = vertex_color_stats(g).set_index("id")
     alive = set(lg.adj)
     for vid in got.index:
         c_a, c_b, c_m = ref.vertex_groups(lg, alive, int(vid))
@@ -60,11 +61,8 @@ def test_vertex_color_groups_against_reference(colored_graph):
 
 def test_colorful_support_against_duckdb(colored_graph):
     g, v, e, vcol, _ = colored_graph
-    got = (
-        edge_color_stats(g)
-        .where((F.col("sup_a") + F.col("sup_b")) > 0)
-        .select("src", "dst", "sup_a", "sup_b")
-    )
+    stats = edge_color_stats(g)
+    got = stats[(stats["sup_a"] + stats["sup_b"]) > 0][["src", "dst", "sup_a", "sup_b"]]
     assert_equivalent(
         got,
         SYM_SQL
@@ -88,7 +86,7 @@ def test_colorful_support_against_duckdb(colored_graph):
 
 def test_edge_color_groups_against_reference(colored_graph):
     g, v, e, vcol, lg = colored_graph
-    got = edge_color_stats(g).toPandas()
+    got = edge_color_stats(g)
     edges = set(zip(e["src"].astype(int), e["dst"].astype(int)))
     for _, row in got.iterrows():
         c_a, c_b, c_m = ref.edge_groups(lg, edges, int(row["src"]), int(row["dst"]))
@@ -98,7 +96,7 @@ def test_edge_color_groups_against_reference(colored_graph):
 
 def test_zero_stats_edges_have_no_common_neighbors(colored_graph):
     g, v, e, vcol, lg = colored_graph
-    got = edge_color_stats(g).toPandas()
+    got = edge_color_stats(g)
     zero = got[(got["sup_a"] == 0) & (got["sup_b"] == 0)]
     for _, row in zero.iterrows():
         u, w = int(row["src"]), int(row["dst"])
@@ -107,33 +105,47 @@ def test_zero_stats_edges_have_no_common_neighbors(colored_graph):
 
 def test_edge_stats_covers_every_edge(colored_graph):
     g, v, e, *_ = colored_graph
-    assert edge_color_stats(g).count() == len(e)
+    assert len(edge_color_stats(g)) == len(e)
 
 
 def test_endpoint_attrs_correct(colored_graph):
     g, v, e, vcol, lg = colored_graph
-    got = edge_color_stats(g).toPandas()
+    got = edge_color_stats(g)
     for _, row in got.iterrows():
         assert row["attr_u"] == lg.attr[int(row["src"])]
         assert row["attr_v"] == lg.attr[int(row["dst"])]
 
 
-def test_enhanced_support_cols_match_reference(spark, colored_graph):
-    """Spark Def-7 greedy assignment == python reference, all threshold
+def test_enhanced_support_cols_match_reference():
+    """numpy Def-7 greedy assignment == python reference, all threshold
     pairs, over an exhaustive (c_a, c_b, c_m) grid."""
-    from repro.core.supports import enhanced_support_cols
+    grid = pd.DataFrame(
+        [
+            {"c_a": ca, "c_b": cb, "c_m": cm, "ka": ka, "kb": kb}
+            for ca in range(4)
+            for cb in range(4)
+            for cm in range(4)
+            for (ka, kb) in [(1, 3), (3, 1), (2, 2), (0, 2)]
+        ]
+    )
+    esa, esb = enhanced_supports(*(grid[c].to_numpy() for c in ("c_a", "c_b", "c_m", "ka", "kb")))
+    for r, got in zip(grid.itertuples(), zip(esa, esb)):
+        assert got == ref.enhanced_sups(r.c_a, r.c_b, r.c_m, r.ka, r.kb), r
 
-    rows = [
-        {"c_a": ca, "c_b": cb, "c_m": cm, "ka": ka, "kb": kb}
-        for ca in range(4)
-        for cb in range(4)
-        for cm in range(4)
-        for (ka, kb) in [(1, 3), (3, 1), (2, 2), (0, 2)]
-    ]
-    df = spark.createDataFrame(pd.DataFrame(rows))
-    esa, esb = enhanced_support_cols(F.col("ka"), F.col("kb"))
-    got = df.select("c_a", "c_b", "c_m", "ka", "kb",
-                    esa.alias("esa"), esb.alias("esb")).toPandas()
-    for _, r in got.iterrows():
-        want = ref.enhanced_sups(r["c_a"], r["c_b"], r["c_m"], r["ka"], r["kb"])
-        assert (r["esa"], r["esb"]) == want, dict(r)
+
+def test_stats_with_two_mask_words():
+    """70 colors need two 64-bit mask words per group; ids are sparse and
+    above 2**32. Both per-round stats equal the references."""
+    ids = [10**12 + 7 * i for i in range(80)]
+    v = pd.DataFrame({"id": ids, "attr": ["ab"[i % 2] for i in range(80)]})
+    pairs = [(i, j) for i in range(70) for j in range(i + 1, 70)]
+    pairs += [(70 + i, (13 * i) % 70) for i in range(10)]
+    e = pd.DataFrame([(ids[i], ids[j]) for i, j in pairs], columns=["src", "dst"])
+    g = ColoredGraph.from_pandas(v, e)
+    assert int(np.max(g.color)) + 1 > 64
+    lg = LocalGraph.from_pandas(*g.frames())
+    edges = set(zip(e["src"], e["dst"]))
+    for r in edge_color_stats(g).itertuples():
+        assert (r.c_a, r.c_b, r.c_m) == ref.edge_groups(lg, edges, r.src, r.dst)
+    for r in vertex_color_stats(g).itertuples():
+        assert (r.c_a, r.c_b, r.c_m) == ref.vertex_groups(lg, set(lg.adj), r.id)
