@@ -7,7 +7,8 @@ import pytest
 
 from repro.graph.gen import DATASETS, PARAM_GRID
 from repro.core.heuristic import heur_rfc
-from repro.bench_harness import emit_table, kernel, run_cell
+from repro.core.maxrfc import max_rfc_local
+from repro.bench_harness import emit_table, kernel
 
 _ROWS: dict[tuple[str, int], tuple[int, int]] = {}
 
@@ -17,15 +18,15 @@ _POINTS = [(name, k) for name in sorted(DATASETS) for k in PARAM_GRID[name][0]]
 @pytest.mark.parametrize("name,k", _POINTS, ids=[f"{n}-k{k}" for n, k in _POINTS])
 def test_heuristic_vs_exact(benchmark, spark, name, k):
     _, _, _, ddef = PARAM_GRID[name]
-    kern = kernel(spark, name, k)
+    lg = kernel(spark, name, k).graph
     heur = benchmark.pedantic(
-        lambda: heur_rfc(kern.lg, k, ddef), rounds=1, iterations=1
+        lambda: heur_rfc(lg, k, ddef), rounds=1, iterations=1
     )
-    exact, _ = run_cell(kern, k, ddef, "ad+cd", time_limit=30.0)
+    exact = max_rfc_local(lg, k, ddef, ub_combo="ad+cd", time_limit=30.0)
     _ROWS[(name, k)] = (len(heur.clique), exact.size)
     assert len(heur.clique) <= exact.size
     if heur.clique:
-        assert kern.lg.is_fair_clique(heur.clique, k, ddef)
+        assert lg.is_fair_clique(heur.clique, k, ddef)
 
 
 def test_print_heuristic_table(benchmark, spark):

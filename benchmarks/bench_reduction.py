@@ -20,10 +20,10 @@ _POINTS = [
 
 @pytest.mark.parametrize("name,k", _POINTS, ids=[f"{n}-k{k}" for n, k in _POINTS])
 def test_reduction_stages(benchmark, spark, name, k):
-    kern = benchmark.pedantic(
+    report = benchmark.pedantic(
         lambda: kernel(spark, name, k), rounds=1, iterations=1
     )
-    stages = kern.report.stage_dict()
+    stages = report.stage_dict()
     _ROWS[(name, k)] = stages
     # Monotone shrinking across the pipeline.
     order = ["original", "encore", "sup", "ensup"]

@@ -44,8 +44,8 @@ def test_scalability_point(benchmark, spark, mode, frac):
         t_red = time.perf_counter() - t0
         lg = rep.graph
         t0 = time.perf_counter()
-        base = max_rfc_local(lg, k, delta, ub_combo="s", node_prune="basic",
-                             use_heuristic=False, time_limit=60)
+        base = max_rfc_local(lg, k, delta, ub_combo="s", use_heuristic=False,
+                             time_limit=60)
         t_base = time.perf_counter() - t0
         t0 = time.perf_counter()
         full = max_rfc_local(lg, k, delta, ub_combo="ad+cd")

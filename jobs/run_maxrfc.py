@@ -2,6 +2,9 @@
 
     spark-submit jobs/run_maxrfc.py --dataset dblp --k 7 --delta 4 \
         [--scale 1.0] [--ub ad+cd] [--no-heuristic] [--baseline]
+
+``--baseline`` runs the basic framework of Fig. 6: ``ub_combo="s"``
+(size-only pruning) with no heuristic; it overrides ``--ub``.
 """
 import argparse
 import sys
@@ -23,12 +26,13 @@ def main() -> None:
     p.add_argument("--ub", default="ad+cd")
     p.add_argument("--no-heuristic", action="store_true")
     p.add_argument("--baseline", action="store_true",
-                   help="basic framework: size-only pruning, no heuristic")
+                   help='basic framework: ub_combo="s", no heuristic')
     args = p.parse_args()
 
     _, kdef, _, ddef = gen.PARAM_GRID[args.dataset]
     k = args.k if args.k is not None else kdef
     delta = args.delta if args.delta is not None else ddef
+    ub = "s" if args.baseline else args.ub
 
     spark = get_session(f"maxrfc-{args.dataset}")
     v, e = gen.DATASETS[args.dataset](scale=args.scale)
@@ -37,11 +41,10 @@ def main() -> None:
         g,
         k,
         delta,
-        ub_combo="s" if args.baseline else args.ub,
-        node_prune="basic" if args.baseline else "attr",
+        ub_combo=ub,
         use_heuristic=not (args.no_heuristic or args.baseline),
     )
-    print(f"dataset={args.dataset} k={k} delta={delta} ub={args.ub}")
+    print(f"dataset={args.dataset} k={k} delta={delta} ub={ub}")
     for name, n, m, secs in res.reduction.stages:
         print(f"  stage {name:10s} n={n:7,} m={m:9,} ({secs:6.2f}s)")
     print(f"  heuristic clique size: {len(res.heur_clique)}")

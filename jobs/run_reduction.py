@@ -22,7 +22,7 @@ def main() -> None:
     print("|---|---|---|---|---|---|")
     for name in args.datasets:
         for k in gen.PARAM_GRID[name][0]:
-            st = kernel(spark, name, k, scale=args.scale).report.stage_dict()
+            st = kernel(spark, name, k, scale=args.scale).stage_dict()
             cells = " | ".join(
                 f"{st[s][0]:,} / {st[s][1]:,}"
                 for s in ("original", "encore", "sup", "ensup")

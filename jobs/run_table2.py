@@ -1,5 +1,8 @@
 """Print Table II (MaxRFC runtime per ub config, k and δ sweeps).
 
+A cell is that config's heuristic + search time in ms; ``reduce`` is the
+reduction the row's six configs share.
+
     spark-submit jobs/run_table2.py [--scale 1.0] [--datasets dblp aminer]
 """
 import argparse
@@ -9,7 +12,8 @@ sys.path.insert(0, ".")
 from jobs._session import get_session  # noqa: E402
 
 from repro.graph import gen  # noqa: E402
-from repro.bench_harness import TABLE2_COMBOS, fmt_ms, kernel, run_cell  # noqa: E402
+from repro.core.maxrfc import max_rfc_local  # noqa: E402
+from repro.bench_harness import TABLE2_COMBOS, fmt_ms, kernel  # noqa: E402
 
 
 def main() -> None:
@@ -18,19 +22,19 @@ def main() -> None:
     p.add_argument("--datasets", nargs="*", default=sorted(gen.DATASETS))
     args = p.parse_args()
     spark = get_session("table2")
-    print("| dataset | sweep | value | " + " | ".join(TABLE2_COMBOS) + " | size |")
-    print("|" + "---|" * (len(TABLE2_COMBOS) + 4))
+    print("| dataset | sweep | value | reduce | " + " | ".join(TABLE2_COMBOS) + " | size |")
+    print("|" + "---|" * (len(TABLE2_COMBOS) + 5))
     for name in args.datasets:
         ks, kdef, ds, ddef = gen.PARAM_GRID[name]
         for sweep, values in (("k", ks), ("delta", ds)):
             for v in values:
                 k = v if sweep == "k" else kdef
                 d = ddef if sweep == "k" else v
-                kern = kernel(spark, name, k, scale=args.scale)
-                cells, size = [], 0
+                report = kernel(spark, name, k, scale=args.scale)
+                cells, size = [fmt_ms(sum(s[3] for s in report.stages))], 0
                 for combo in TABLE2_COMBOS:
-                    res, total = run_cell(kern, k, d, combo)
-                    cells.append(fmt_ms(total))
+                    res = max_rfc_local(report.graph, k, d, ub_combo=combo)
+                    cells.append(fmt_ms(sum(res.timings.values())))
                     size = res.size
                 print(f"| {name} | {sweep} | {v} | " + " | ".join(cells)
                       + f" | {size} |")

@@ -1,32 +1,29 @@
 """Shared harness for the evaluation-section benchmarks and jobs.
 
-Caches per-(dataset, k) reduction pipelines so the Table-II sweep
-(6 datasets × 10 parameter points × 6 ub configs) pays each reduction
-once — the reduction is identical work for every ub configuration, as
-in the paper, where the configs differ only inside the branch-and-bound.
+Caches per-(dataset, k) reductions so the Table-II sweep (6 datasets ×
+10 parameter points × 6 ub configs) pays each reduction once — the
+reduction is identical work for every ub configuration, as in the
+paper, where the configs differ only inside the branch-and-bound.
 ``kernel`` reduces exactly as ``max_rfc`` does — ``reduce_pipeline(g,
 k)`` on the lifted graph: one collect, the coloring, every stage to its
-exact fixpoint on the driver — and caches the colored ``LocalGraph`` it
-returns. ``max_rfc_local`` never recolors a cached kernel, so every cell
-searches the same coloring whatever order the cells run in.
+exact fixpoint on the driver — and caches the ``ReductionReport`` it
+returns. Callers search ``report.graph`` with ``max_rfc_local``, which
+never recolors it, so every cell searches the same coloring whatever
+order the cells run in.
 
-Cell times reported for Table II are ``reduce_seconds + heuristic +
-search`` (the full MaxRFC pipeline for that configuration); the
-reduction component is measured once and shared, so cross-config
-differences reflect the search exactly — mirroring the paper's setup
-where Table II differences across configs are fractions of a percent.
+A cell's time is that configuration's heuristic + search
+(``sum(res.timings.values())``); the reduction time is reported once
+per (dataset, k) from ``report.stages``. The first reduction of a
+session also carries the session's one-off collect cost.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
 from repro.graph import gen
 from repro.graph.builder import AttributedGraph, from_pandas
-from repro.graph.local import LocalGraph
-from repro.core.maxrfc import MaxRFCResult, max_rfc_local
 from repro.core.reduction import ReductionReport, reduce_pipeline
 
 #: Table-II ub configurations, in the paper's column order.
@@ -43,19 +40,8 @@ class Prepared:
     m: int
 
 
-@dataclass
-class Kernel:
-    """Reduced kernel for one (dataset, k): ready for driver-side search."""
-
-    name: str
-    k: int
-    lg: LocalGraph
-    report: ReductionReport
-    reduce_seconds: float
-
-
 _PREPARED: dict[tuple[str, float], Prepared] = {}
-_KERNELS: dict[tuple[str, float, int], Kernel] = {}
+_KERNELS: dict[tuple[str, float, int], ReductionReport] = {}
 
 
 def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
@@ -67,44 +53,11 @@ def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
     return _PREPARED[key]
 
 
-def kernel(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> Kernel:
+def kernel(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> ReductionReport:
     key = (name, scale, k)
     if key not in _KERNELS:
-        prep = prepare(spark, name, scale)
-        t0 = time.perf_counter()
-        report = reduce_pipeline(prep.graph, k)
-        secs = time.perf_counter() - t0
-        _KERNELS[key] = Kernel(name=name, k=k, lg=report.graph, report=report, reduce_seconds=secs)
+        _KERNELS[key] = reduce_pipeline(prepare(spark, name, scale).graph, k)
     return _KERNELS[key]
-
-
-def run_cell(
-    kern: Kernel,
-    k: int,
-    delta: int,
-    combo: str,
-    *,
-    node_prune: str = "attr",
-    use_heuristic: bool = True,
-    time_limit: float | None = None,
-) -> tuple[MaxRFCResult, float]:
-    """One MaxRFC configuration on a prepared kernel.
-
-    Returns (result, total_seconds) where total includes the shared
-    reduction time plus this configuration's heuristic + search time.
-    """
-    t0 = time.perf_counter()
-    res = max_rfc_local(
-        kern.lg,
-        k,
-        delta,
-        ub_combo=combo,
-        node_prune=node_prune,
-        use_heuristic=use_heuristic,
-        time_limit=time_limit,
-    )
-    own = time.perf_counter() - t0
-    return res, kern.reduce_seconds + own
 
 
 def fmt_ms(seconds: float) -> str:

@@ -24,6 +24,12 @@ from repro.core.order import colorful_dmin_per_vertex, colorful_peel
 COMBOS = ("s", "ad", "ad+deg", "ad+h", "ad+cd", "ad+ch", "ad+cp")
 
 
+def check_combo(combo: str) -> None:
+    """Raise ``ValueError`` unless ``combo`` is one of ``COMBOS``."""
+    if combo not in COMBOS:
+        raise ValueError(f"unknown bound combo {combo!r}; expected one of {COMBOS}")
+
+
 def _fair_pair(x: int, y: int, delta: int) -> int:
     """max total of a (≥0) pair capped at counts (x, y) with |diff| ≤ δ."""
     if abs(x - y) <= delta:

@@ -10,10 +10,11 @@ a unique earliest root vertex, so every clique is enumerated exactly
 once) and replace the alternation's fairness role with explicit,
 provably-sound prunes:
 
-- feasibility: ``cnt_R(x) + cnt_C(x) ≥ k`` for both attributes;
-- balance:     ``cnt_R(x) − (cnt_R(y) + cnt_C(y)) ≤ δ``;
-- Lemma-6 bound on the achievable counts;
-- Lemma-5 size bound (always on, as in the basic framework);
+- Lemma-5 size bound, always on (alone under ``ub_combo="s"``: the
+  basic framework of Fig. 6);
+- otherwise also feasibility ``cnt_R(x) + cnt_C(x) ≥ k`` for both
+  attributes, balance ``cnt_R(x) − (cnt_R(y) + cnt_C(y)) ≤ δ`` and the
+  Lemma-6 bound on the achievable counts, at every node;
 - the configured ub combo (Table II) once per root branch — the paper
   applies the expensive bounds "when selecting vertices to be added to R
   for the first time" (§VI-B).
@@ -27,7 +28,7 @@ import time
 from dataclasses import dataclass
 
 from repro.graph.local import LocalGraph
-from repro.core.bounds import compute_ub
+from repro.core.bounds import check_combo, compute_ub
 from repro.core.order import cal_color_od
 
 ATTR_A = "a"
@@ -53,7 +54,7 @@ class _State:
     lg: LocalGraph
     k: int
     delta: int
-    node_prune: str
+    attr_prune: bool
     best: list[int]
     nodes: int = 0
     deadline: float | None = None
@@ -67,27 +68,28 @@ def branch_search(
     delta: int,
     *,
     ub_combo: str = "ad",
-    node_prune: str = "attr",
     best_init: list[int] | None = None,
     time_limit: float | None = None,
 ) -> SearchResult:
     """Find a maximum (k, δ)-fair clique in ``lg``.
 
     ``ub_combo`` selects the Table-II root-level bound configuration
-    ("s", "ad", "ad+deg", "ad+h", "ad+cd", "ad+ch", "ad+cp").
-    ``node_prune`` is "attr" (attribute-aware feasibility + Lemma-6
-    prunes at every node) or "basic" (size bound only — the MaxRFC
-    baseline of Fig. 6). ``best_init`` seeds the incumbent (HeurRFC
-    integration); it must be a fair clique of ``lg``, else ``ValueError``.
+    (one of ``bounds.COMBOS``, else ``ValueError``). "s" is the basic
+    framework of Fig. 6: the size bound only, at the roots and at every
+    node. Every other combo also applies the attribute-aware feasibility
+    and Lemma-6 prunes at every node. ``best_init`` seeds the incumbent
+    (HeurRFC integration); it must be a fair clique of ``lg``, else
+    ``ValueError``.
     """
     t0 = time.perf_counter()
+    check_combo(ub_combo)
     if best_init and not lg.is_fair_clique(best_init, k, delta):
         raise ValueError("best_init must be a (k, δ)-fair clique of lg")
     st = _State(
         lg=lg,
         k=k,
         delta=delta,
-        node_prune=node_prune,
+        attr_prune=ub_combo != "s",
         best=list(best_init or []),
         deadline=(t0 + time_limit) if time_limit else None,
     )
@@ -134,7 +136,7 @@ def _rec(st: _State, R: list[int], na: int, nb: int, C: list[int]) -> None:
     floor = max(len(st.best), 2 * k - 1)
     if len(R) + len(C) <= floor:  # Lemma 5 (the basic framework's bound)
         return
-    if st.node_prune == "attr":
+    if st.attr_prune:
         ca = sum(1 for v in C if lg.attr[v] == ATTR_A)
         cb = len(C) - ca
         avail_a, avail_b = na + ca, nb + cb

@@ -12,7 +12,8 @@ search on the driver.
 4. branch-and-bound with the configured Table-II upper-bound combo.
 
 ``max_rfc_local`` is the search-only variant (steps 3–4) used by unit
-tests and by the benchmark harness on a cached kernel.
+tests and, on a kernel cached by ``repro.bench_harness``, by the
+benchmarks and jobs.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.graph.builder import AttributedGraph
 from repro.graph.local import LocalGraph
+from repro.core.bounds import check_combo
 from repro.core.branch import SearchResult, branch_search
 from repro.core.heuristic import heur_rfc
 from repro.core.reduction import ReductionReport, reduce_pipeline
@@ -43,9 +45,10 @@ class MaxRFCResult:
         return len(self.clique)
 
 
-def _check_query(k: int, delta: int) -> None:
+def _check_query(k: int, delta: int, ub_combo: str) -> None:
     if k < 1 or delta < 0:
         raise ValueError(f"need k >= 1 and delta >= 0, got k={k}, delta={delta}")
+    check_combo(ub_combo)
 
 
 def max_rfc_local(
@@ -54,12 +57,11 @@ def max_rfc_local(
     delta: int,
     *,
     ub_combo: str = "ad",
-    node_prune: str = "attr",
     use_heuristic: bool = True,
     time_limit: float | None = None,
 ) -> MaxRFCResult:
     """MaxRFC on an in-memory kernel (steps 3–4 of the pipeline)."""
-    _check_query(k, delta)
+    _check_query(k, delta, ub_combo)
     timings: dict[str, float] = {}
     heur_clique: list[int] = []
     g = lg
@@ -76,7 +78,6 @@ def max_rfc_local(
         k,
         delta,
         ub_combo=ub_combo,
-        node_prune=node_prune,
         best_init=heur_clique,
         time_limit=time_limit,
     )
@@ -97,12 +98,11 @@ def max_rfc(
     delta: int,
     *,
     ub_combo: str = "ad",
-    node_prune: str = "attr",
     use_heuristic: bool = True,
     time_limit: float | None = None,
 ) -> MaxRFCResult:
     """Full reduce-then-search pipeline (Algorithm 2) on a Spark graph."""
-    _check_query(k, delta)
+    _check_query(k, delta, ub_combo)
     t0 = time.perf_counter()
     report = reduce_pipeline(g, k)
     t_reduce = time.perf_counter() - t0
@@ -111,7 +111,6 @@ def max_rfc(
         k,
         delta,
         ub_combo=ub_combo,
-        node_prune=node_prune,
         use_heuristic=use_heuristic,
         time_limit=time_limit,
     )

@@ -32,26 +32,12 @@ class AttributedGraph:
         return self.vertices.count(), self.edges.count()
 
     def checkpointed(self) -> "AttributedGraph":
-        return AttributedGraph(checkpoint(self.vertices), checkpoint(self.edges))
-
-
-def checkpoint(df: DataFrame) -> DataFrame:
-    """``df.localCheckpoint(eager=True)`` without the plan's size estimate.
-
-    Spark hands a checkpoint the estimated size of the plan that produced
-    it, and estimates a join as the product of its inputs' sizes. A loop
-    that joins its previous checkpoint and checkpoints again (the shape
-    of a Spark peel round) multiplies the estimate's bit length every
-    round, and after a dozen rounds query planning stalls in big-integer
-    arithmetic. Re-reading the checkpointed rows as a fresh relation
-    gives Spark's default estimate instead, so a checkpointed input
-    plans the same however it was built; no job is added.
-    """
-    cp = df.localCheckpoint(eager=True)
-    jdf = cp.sparkSession._jsparkSession.internalCreateDataFrame(
-        cp._jdf.queryExecution().toRdd(), cp._jdf.schema(), False
-    )
-    return DataFrame(jdf, cp.sparkSession)
+        """Both frames materialised (``localCheckpoint(eager=True)``), so
+        the collect does not re-run the lift's edge dedup."""
+        return AttributedGraph(
+            self.vertices.localCheckpoint(eager=True),
+            self.edges.localCheckpoint(eager=True),
+        )
 
 
 def canonicalize_edges(edges: DataFrame) -> DataFrame:

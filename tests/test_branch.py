@@ -40,16 +40,18 @@ def test_all_ub_combos_agree(combo, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_basic_node_prune_agrees(seed):
+    """The basic framework (``ub_combo="s"``: the size bound is the only
+    node prune) finds the same optimum as the fully pruned search."""
     lg = _lg(18, 0.5, seed)
-    a = branch_search(lg, 2, 1, ub_combo="s", node_prune="basic")
-    b = branch_search(lg, 2, 1, ub_combo="ad+cd", node_prune="attr")
+    a = branch_search(lg, 2, 1, ub_combo="s")
+    b = branch_search(lg, 2, 1, ub_combo="ad+cd")
     assert len(a.clique) == len(b.clique)
 
 
 def test_attr_pruning_reduces_nodes():
     lg = _lg(40, 0.45, seed=7)
-    basic = branch_search(lg, 3, 1, ub_combo="s", node_prune="basic")
-    pruned = branch_search(lg, 3, 1, ub_combo="ad+cd", node_prune="attr")
+    basic = branch_search(lg, 3, 1, ub_combo="s")
+    pruned = branch_search(lg, 3, 1, ub_combo="ad+cd")
     assert len(basic.clique) == len(pruned.clique)
     assert pruned.nodes <= basic.nodes
 
@@ -104,8 +106,7 @@ def test_no_fair_clique_returns_empty():
 
 def test_time_limit_reports_incomplete():
     lg = _lg(60, 0.6, seed=2)
-    res = branch_search(lg, 2, 2, ub_combo="s", node_prune="basic",
-                        time_limit=1e-9)
+    res = branch_search(lg, 2, 2, ub_combo="s", time_limit=1e-9)
     assert not res.completed or res.seconds < 0.5
 
 

@@ -1,13 +1,11 @@
 """Spark graph-algebra tests (builder) with the DuckDB oracle."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.graph import gen
 from repro.graph.builder import (
     canonicalize_edges,
-    checkpoint,
     degrees,
     from_pandas,
     symmetrize,
@@ -55,16 +53,3 @@ def test_degrees_against_duckdb(small_graph):
         edges=e,
         vertices=v,
     )
-
-
-def test_checkpoint_keeps_rows_and_drops_size_estimate(spark):
-    """Join-then-checkpoint rounds (the shape of a peel loop) must not
-    compound Spark's size estimate, whose bit length would otherwise
-    double here every round."""
-    df = spark.range(20).withColumnRenamed("id", "x")
-    for _ in range(6):
-        pairs = df.join(df.withColumnRenamed("x", "y"), F.col("x") == F.col("y"))
-        df = checkpoint(pairs.select("x"))
-    assert sorted(r.x for r in df.collect()) == list(range(20))
-    size = df._jdf.queryExecution().optimizedPlan().stats().sizeInBytes()
-    assert int(size).bit_length() <= 64

@@ -3,8 +3,10 @@
 import pandas as pd
 import pytest
 
+from repro.graph import gen
 from repro.graph.builder import from_pandas
 from repro.graph.local import LocalGraph
+from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
 
 # A fair triangle plus one more edge: {0, 1, 2} is a (1, 1)-fair clique.
@@ -47,3 +49,20 @@ def test_bad_k_or_delta_rejected(spark, k, delta):
     assert jobs.nextJobId() == before
     with pytest.raises(ValueError, match="k >= 1 and delta >= 0"):
         max_rfc_local(LocalGraph.from_pandas(V, E), k, delta)
+
+
+def test_unknown_ub_combo_rejected(spark):
+    """Rejected before any Spark job runs, even where every root would be
+    size-pruned before a bound is ever evaluated."""
+    jobs = spark.sparkContext._jsc.sc().dagScheduler()
+    g = from_pandas(spark, V, E)
+    before = jobs.nextJobId()
+    with pytest.raises(ValueError, match="unknown bound combo"):
+        max_rfc(g, 1, 0, ub_combo="bogus")
+    assert jobs.nextJobId() == before
+    sparse = LocalGraph.from_pandas(*gen.random_attributed_graph(12, 0.3, seed=1))
+    for lg, k in ((LocalGraph.from_pandas(V, E), 1), (sparse, 3)):
+        with pytest.raises(ValueError, match="unknown bound combo"):
+            max_rfc_local(lg, k, 0, ub_combo="bogus")
+        with pytest.raises(ValueError, match="unknown bound combo"):
+            branch_search(lg, k, 0, ub_combo="bogus")

@@ -36,12 +36,8 @@ def test_pipeline_variants_agree(spark):
     v, e = gen.DATASETS["pokec"](scale=0.25)
     g = from_pandas(spark, v, e).checkpointed()
     sizes = set()
-    for combo, prune, heur in [
-        ("s", "basic", False),
-        ("ad+cd", "attr", False),
-        ("ad+cp", "attr", True),
-    ]:
-        r = max_rfc(g, 3, 2, ub_combo=combo, node_prune=prune, use_heuristic=heur)
+    for combo, heur in [("s", False), ("ad+cd", False), ("ad+cp", True)]:
+        r = max_rfc(g, 3, 2, ub_combo=combo, use_heuristic=heur)
         sizes.add(r.size)
     assert len(sizes) == 1
 
@@ -85,9 +81,9 @@ def test_bench_kernel_is_max_rfc_path(spark):
     kern = kernel(spark, "aminer", 4, scale=0.25)
     v, e = gen.DATASETS["aminer"](scale=0.25)
     red = max_rfc(from_pandas(spark, v, e).checkpointed(), 4, 2).reduction
-    assert [s[:3] for s in kern.report.stages] == [s[:3] for s in red.stages]
-    assert kern.lg.adj == red.graph.adj  # vertices and edges
-    assert kern.lg.color == red.graph.color
+    assert [s[:3] for s in kern.stages] == [s[:3] for s in red.stages]
+    assert kern.graph.adj == red.graph.adj  # vertices and edges
+    assert kern.graph.color == red.graph.color
 
 
 def test_max_rfc_runs_at_most_two_spark_jobs(spark):

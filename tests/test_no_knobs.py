@@ -4,11 +4,20 @@ import re
 from pathlib import Path
 
 import repro
+from repro.core.branch import branch_search
+from repro.core.maxrfc import max_rfc, max_rfc_local
 from repro.core.reduction import reduce_pipeline
 
 
 def test_pipeline_has_no_knobs_and_src_reads_no_env():
-    assert list(inspect.signature(reduce_pipeline).parameters) == ["g", "k"]
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(reduce_pipeline) == ["g", "k"]
+    query = ["k", "delta", "ub_combo", "use_heuristic", "time_limit"]
+    assert params(max_rfc) == ["g", *query]
+    assert params(max_rfc_local) == ["lg", *query]
+    assert params(branch_search) == ["lg", "k", "delta", "ub_combo", "best_init", "time_limit"]
     readers = [
         str(path)
         for path in Path(repro.__file__).parent.rglob("*.py")
