@@ -2,7 +2,7 @@
 
 The baseline is the basic framework (``ub_combo="s"``: size-only
 pruning, Lemma 5, no heuristic); +ub takes the dataset's best Table-II
-root bound, which also turns on the attribute-aware node pruning;
+root bound, which also turns on the per-node coloring bound;
 +ub+HeurRFC additionally seeds the incumbent with the heuristic and
 searches the (|R*|−1)-core. Paper shape: the pruned variants are
 dramatically faster (paper: ~15–20× on Flixster at k=2); at our scale we

@@ -13,7 +13,8 @@ order the cells run in.
 
 A cell's time is that configuration's heuristic + search
 (``sum(res.timings.values())``); the reduction time is reported once
-per (dataset, k) from ``report.stages``. The first reduction of a
+per (dataset, k) from ``report.stages``, split by ``reduce_seconds``
+into the collect + coloring and the peels. The first reduction of a
 session also carries the session's one-off collect cost.
 """
 from __future__ import annotations
@@ -58,6 +59,13 @@ def kernel(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> Reduct
     if key not in _KERNELS:
         _KERNELS[key] = reduce_pipeline(prepare(spark, name, scale).graph, k)
     return _KERNELS[key]
+
+
+def reduce_seconds(report: ReductionReport) -> tuple[float, float]:
+    """(collect, peel) seconds of a reduction: the ``original`` stage
+    (collect + coloring of G) and the sum of the three peel stages."""
+    secs = [s[3] for s in report.stages]
+    return secs[0], sum(secs[1:])
 
 
 def fmt_ms(seconds: float) -> str:

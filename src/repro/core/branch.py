@@ -7,17 +7,32 @@ attributes, which is incomplete (see
 ``tests/test_branch.py::test_paper_literal_ordering_is_incomplete``).
 We keep the ordering restriction at the root level only (each clique has
 a unique earliest root vertex, so every clique is enumerated exactly
-once) and replace the alternation's fairness role with explicit,
-provably-sound prunes:
+once) and replace the alternation's fairness role with provably-sound
+bounds.
 
-- Lemma-5 size bound, always on (alone under ``ub_combo="s"``: the
-  basic framework of Fig. 6);
-- otherwise also feasibility ``cnt_R(x) + cnt_C(x) ≥ k`` for both
-  attributes, balance ``cnt_R(x) − (cnt_R(y) + cnt_C(y)) ≤ δ`` and the
-  Lemma-6 bound on the achievable counts, at every node;
-- the configured ub combo (Table II) once per root branch — the paper
-  applies the expensive bounds "when selecting vertices to be added to R
-  for the first time" (§VI-B).
+The kernel is reindexed by the CalColorOD order: bit ``i`` of a
+candidate set is ``order[i]``, a candidate set is a Python-int bitset,
+and a child's candidates are one ``&`` with the branch vertex's
+neighbour bitset (BBMC: San Segundo et al., Comput. Oper. Res. 2011).
+Every node splits its candidates P into classes of pairwise
+non-adjacent vertices, each with a bound on the fair cliques through
+that class, and expands the classes from the highest bound down,
+returning at the first bound that cannot beat the incumbent (MCQ/MCS:
+Tomita & Kameda, J. Glob. Optim. 2007):
+
+- ``ub_combo="s"``, the basic framework of Fig. 6: every vertex is its
+  own class, in descending bit order, so a class's bound is the
+  Lemma-5 size bound |R| + c and the candidates are expanded lowest bit
+  first, each child taking the later candidates ∩ N(v);
+- every other combo: a greedy coloring of P (lowest bit first), and the
+  vertices of class c get ``min(|R| + c, fair(na + Xa(c), nb + Xb(c)))``
+  where Xa(c) / Xb(c) count the classes ≤ c holding an a- / b-vertex —
+  Lemmas 7–9 at every node; ``fair`` is Lemma 6's balance cap, 0 when
+  either side stays below k.
+
+The configured Table-II ub combo is applied once per root branch, on the
+root's subgraph — the paper applies the expensive bounds "when selecting
+vertices to be added to R for the first time" (§VI-B).
 
 Fairness is checked at *every* node (it is not monotone: extending a
 fair clique can break the δ balance), so the maximum is never missed.
@@ -25,10 +40,10 @@ fair clique can break the δ balance), so the maximum is never missed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.graph.local import LocalGraph
-from repro.core.bounds import check_combo, compute_ub
+from repro.core.bounds import _fair_pair, check_combo, compute_ub
 from repro.core.order import cal_color_od
 
 ATTR_A = "a"
@@ -51,11 +66,23 @@ class SearchResult:
 
 @dataclass
 class _State:
-    lg: LocalGraph
+    """The bitset kernel and the incumbent of one search.
+
+    ``nbr[i]`` is the neighbour bitset of ``order[i]`` and ``nonadj[i]``
+    its complement without ``i``; ``amask`` / ``bmask`` hold the a- / b-
+    vertices and ``R`` the current clique as a stack of bit indices.
+    """
+
+    order: list[int]
+    nbr: list[int]
+    nonadj: list[int]
+    amask: int
+    bmask: int
     k: int
     delta: int
-    attr_prune: bool
+    colored: bool
     best: list[int]
+    R: list[int] = field(default_factory=list)
     nodes: int = 0
     deadline: float | None = None
     timed_out: bool = False
@@ -76,41 +103,52 @@ def branch_search(
     ``ub_combo`` selects the Table-II root-level bound configuration
     (one of ``bounds.COMBOS``, else ``ValueError``). "s" is the basic
     framework of Fig. 6: the size bound only, at the roots and at every
-    node. Every other combo also applies the attribute-aware feasibility
-    and Lemma-6 prunes at every node. ``best_init`` seeds the incumbent
-    (HeurRFC integration); it must be a fair clique of ``lg``, else
+    node. Every other combo bounds every node with the attribute-aware
+    coloring bound. ``best_init`` seeds the incumbent (HeurRFC
+    integration); it must be a fair clique of ``lg``, else
     ``ValueError``.
     """
     t0 = time.perf_counter()
     check_combo(ub_combo)
     if best_init and not lg.is_fair_clique(best_init, k, delta):
         raise ValueError("best_init must be a (k, δ)-fair clique of lg")
+    best = list(best_init or [])
+    if lg.n < 2 * k:  # no fair clique fits
+        return SearchResult(clique=best, seconds=time.perf_counter() - t0)
+    order = cal_color_od(lg)
+    pos = {v: i for i, v in enumerate(order)}
+    nbr = [sum(1 << pos[u] for u in lg.adj[v]) for v in order]
+    full = (1 << len(order)) - 1
+    amask = sum(1 << i for i, v in enumerate(order) if lg.attr[v] == ATTR_A)
     st = _State(
-        lg=lg,
+        order=order,
+        nbr=nbr,
+        nonadj=[full ^ x ^ (1 << i) for i, x in enumerate(nbr)],
+        amask=amask,
+        bmask=full ^ amask,
         k=k,
         delta=delta,
-        attr_prune=ub_combo != "s",
-        best=list(best_init or []),
+        colored=ub_combo != "s",
+        best=best,
         deadline=(t0 + time_limit) if time_limit else None,
     )
-    if lg.n >= 2 * k:
-        order = cal_color_od(lg)
-        pos = {v: i for i, v in enumerate(order)}
-        for u in order:
-            if st.deadline and time.perf_counter() > st.deadline:
-                st.timed_out = True
-                break
-            cand = sorted((v for v in lg.adj[u] if pos[v] > pos[u]), key=pos.get)
-            floor = max(len(st.best), 2 * k - 1)
-            if 1 + len(cand) <= floor:
-                st.roots_pruned += 1
-                continue
-            sub = lg.subgraph([u, *cand])
-            if compute_ub(sub, delta, ub_combo) <= floor:
-                st.roots_pruned += 1
-                continue
-            na = 1 if lg.attr[u] == ATTR_A else 0
-            _rec(st, [u], na, 1 - na, cand)
+    for i, u in enumerate(order):
+        if st.deadline and time.perf_counter() > st.deadline:
+            st.timed_out = True
+            break
+        later = nbr[i] >> (i + 1) << (i + 1)
+        floor = max(len(st.best), 2 * k - 1)
+        if 1 + later.bit_count() <= floor:
+            st.roots_pruned += 1
+            continue
+        sub = lg.subgraph([u, *(v for v in lg.adj[u] if pos[v] > i)])
+        if compute_ub(sub, delta, ub_combo) <= floor:
+            st.roots_pruned += 1
+            continue
+        na = (amask >> i) & 1
+        st.R.append(i)
+        _expand(st, na, 1 - na, later)
+        st.R.pop()
     return SearchResult(
         clique=st.best,
         nodes=st.nodes,
@@ -120,50 +158,81 @@ def branch_search(
     )
 
 
-def _rec(st: _State, R: list[int], na: int, nb: int, C: list[int]) -> None:
-    """Ordered subset enumeration with pruning; R is always a clique."""
+def _expand(st: _State, na: int, nb: int, P: int) -> None:
+    """Search the cliques R ∪ S, S ⊆ P; R (``st.R``, with na a- and nb
+    b-vertices) is a clique and P its common neighbours."""
     st.nodes += 1
-    k, delta, lg = st.k, st.delta, st.lg
-    if (
-        na >= k
-        and nb >= k
-        and abs(na - nb) <= delta
-        and len(R) > len(st.best)
-    ):
-        st.best = R.copy()
-    if not C:
+    R, k = st.R, st.k
+    if na >= k and nb >= k and abs(na - nb) <= st.delta and len(R) > len(st.best):
+        st.best = [st.order[i] for i in R]
+    if not P:
         return
-    floor = max(len(st.best), 2 * k - 1)
-    if len(R) + len(C) <= floor:  # Lemma 5 (the basic framework's bound)
-        return
-    if st.attr_prune:
-        ca = sum(1 for v in C if lg.attr[v] == ATTR_A)
-        cb = len(C) - ca
-        avail_a, avail_b = na + ca, nb + cb
-        if avail_a < k or avail_b < k:  # fairness can never be met
-            return
-        if na - avail_b > delta or nb - avail_a > delta:  # balance unfixable
-            return
-        # Lemma 6 on the achievable attribute counts.
-        if abs(avail_a - avail_b) <= delta:
-            ub = avail_a + avail_b
-        else:
-            ub = 2 * min(avail_a, avail_b) + delta
-        if ub <= floor:
-            return
     if st.deadline and st.nodes % 4096 == 0 and time.perf_counter() > st.deadline:
         st.timed_out = True
     if st.timed_out:
         return
-    for i, u in enumerate(C):
-        if st.timed_out:
-            return
-        adj_u = lg.adj[u]
-        new_c = [v for v in C[i + 1:] if v in adj_u]
-        # Child-level quick size check before paying the recursion.
-        if 1 + len(R) + len(new_c) <= max(len(st.best), 2 * k - 1):
-            continue
-        if lg.attr[u] == ATTR_A:
-            _rec(st, R + [u], na + 1, nb, new_c)
-        else:
-            _rec(st, R + [u], na, nb + 1, new_c)
+    r = len(R)
+    floor = max(len(st.best), 2 * k - 1)
+    classes = _classes(st, P, na, nb, floor) if st.colored else _singletons(P, r, floor)
+    nbr, amask = st.nbr, st.amask
+    for ub, cls in reversed(classes):
+        while cls:
+            if ub <= floor:
+                return
+            v = cls.bit_length() - 1
+            bit = 1 << v
+            cls ^= bit
+            P ^= bit
+            child = P & nbr[v]
+            if 1 + r + child.bit_count() <= floor:
+                continue
+            R.append(v)
+            if bit & amask:
+                _expand(st, na + 1, nb, child)
+            else:
+                _expand(st, na, nb + 1, child)
+            R.pop()
+            if st.timed_out:
+                return
+            floor = max(len(st.best), 2 * k - 1)
+
+
+def _singletons(P: int, r: int, floor: int) -> list[tuple[int, int]]:
+    """Size-bound classes: P's c-th highest bit alone, with bound r + c
+    (Lemma 5); only the classes whose bound beats ``floor``, ascending."""
+    out = []
+    for ub in range(r + P.bit_count(), floor, -1):  # from the lowest bit up
+        low = P & -P
+        P ^= low
+        out.append((ub, low))
+    out.reverse()
+    return out
+
+
+def _classes(st: _State, P: int, na: int, nb: int, floor: int) -> list[tuple[int, int]]:
+    """Greedy color classes of P (lowest bit first) with their
+    attribute-aware bounds; only classes whose bound beats ``floor``
+    are returned, ascending."""
+    nonadj, amask, bmask, k = st.nonadj, st.amask, st.bmask, st.k
+    r = len(st.R)
+    out = []
+    c = xa = xb = 0
+    while P:
+        c += 1
+        cls = 0
+        Q = P
+        while Q:
+            low = Q & -Q
+            cls |= low
+            Q &= nonadj[low.bit_length() - 1]
+        P ^= cls
+        if cls & amask:
+            xa += 1
+        if cls & bmask:
+            xb += 1
+        x, y = na + xa, nb + xb
+        if x >= k and y >= k:  # else no fair clique: bound 0
+            ub = min(r + c, _fair_pair(x, y, st.delta))
+            if ub > floor:
+                out.append((ub, cls))
+    return out

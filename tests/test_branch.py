@@ -11,6 +11,7 @@ from repro.core.baseline import brute_force_size
 from repro.core.bounds import COMBOS
 from repro.core.branch import branch_search
 from repro.core.heuristic import heur_rfc
+from repro.core.maxrfc import max_rfc_local
 
 
 def _lg(n, p, seed, p_a=0.5):
@@ -110,6 +111,20 @@ def test_time_limit_reports_incomplete():
     assert not res.completed or res.seconds < 0.5
 
 
+@pytest.mark.parametrize("combo", ["s", "ad"])
+def test_time_limit_stops_dense_search(combo):
+    """G(200, 0.7) at k=3, δ=2 takes minutes to search exactly; a 0.2 s
+    limit must stop the search soon after and report it incomplete,
+    directly and through ``max_rfc_local``."""
+    lg = _lg(200, 0.7, seed=0)
+    res = branch_search(lg, 3, 2, ub_combo=combo, time_limit=0.2)
+    local = max_rfc_local(lg, 3, 2, ub_combo=combo, time_limit=0.2).search
+    for r in (res, local):
+        assert r.completed is False
+        assert r.seconds < 1.0
+        assert not r.clique or lg.is_fair_clique(r.clique, 3, 2)
+
+
 def test_paper_literal_ordering_is_incomplete():
     """Documents DESIGN.md §3.3.1: applying the CalColorOD filter at every
     level with strict attribute alternation misses cliques whose O-sorted
@@ -155,3 +170,23 @@ def test_search_equals_brute_force_property(n, p, seed, k, delta):
     lg = _lg(n, p, seed)
     res = branch_search(lg, k, delta, ub_combo="ad+cp")
     assert len(res.clique) == brute_force_size(lg, k, delta)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.integers(8, 16),
+    p=st.floats(0.25, 0.75),
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 3),
+    delta=st.integers(0, 2),
+    combo=st.sampled_from(COMBOS),
+)
+def test_search_with_incumbent_equals_brute_force_property(n, p, seed, k, delta, combo):
+    """Every bound combo, seeded with the HeurRFC incumbent and run on its
+    pruned graph (as ``max_rfc_local`` does), finds the exact maximum."""
+    lg = _lg(n, p, seed)
+    h = heur_rfc(lg, k, delta)
+    res = branch_search(h.graph, k, delta, ub_combo=combo, best_init=h.clique)
+    assert res.completed
+    assert len(res.clique) == brute_force_size(lg, k, delta)
+    assert not res.clique or lg.is_fair_clique(res.clique, k, delta)

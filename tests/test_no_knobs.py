@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import repro
+from repro.core import branch
 from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
 from repro.core.reduction import reduce_pipeline
@@ -24,6 +25,13 @@ def test_pipeline_has_no_knobs_and_src_reads_no_env():
         if re.search(r"os\.environ|getenv", path.read_text())
     ]
     assert readers == []
+
+
+def test_one_search_recursion():
+    """The bitset recursion is the only search: the list-based ``_rec``
+    it replaced must not come back as a second path (the parameter list
+    of ``branch_search`` is pinned above)."""
+    assert not hasattr(branch, "_rec")
 
 
 def test_core_does_not_import_pyspark():
