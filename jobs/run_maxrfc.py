@@ -1,10 +1,12 @@
 """Run the full MaxRFC pipeline on one dataset.
 
     spark-submit jobs/run_maxrfc.py --dataset dblp --k 7 --delta 4 \
-        [--scale 1.0] [--ub ad+cd] [--no-heuristic] [--baseline]
+        [--scale 1.0] [--ub ad] [--no-heuristic] [--baseline]
 
-``--baseline`` runs the basic framework of Fig. 6: ``ub_combo="s"``
-(size-only pruning) with no heuristic; it overrides ``--ub``.
+``--ub`` is a Table-II bound combo (``bounds.COMBOS``); it defaults to
+``max_rfc``'s own, ``"ad"``. ``--baseline`` runs the basic framework of
+Fig. 6: ``ub_combo="s"`` (size-only pruning) with no heuristic; it
+overrides ``--ub``.
 """
 import argparse
 import sys
@@ -23,7 +25,7 @@ def main() -> None:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--ub", default="ad+cd")
+    p.add_argument("--ub", default="ad")
     p.add_argument("--no-heuristic", action="store_true")
     p.add_argument("--baseline", action="store_true",
                    help='basic framework: ub_combo="s", no heuristic')

@@ -5,6 +5,10 @@ the induced ``LocalGraph`` of R ∪ C (recolored locally, as the paper
 recolors G' per branch) and returns an integer upper bound on the size
 of any (k, δ)-fair clique inside it.
 
+ub_AD (Lemmas 5–9) is computed only by the search's per-node coloring
+(``branch._classes``); the Lemma 5–9 functions here are its tested
+references, and ``compute_ub`` gives a root a combo's extra bound.
+
 Soundness adjustments vs. the printed lemmas (DESIGN.md §3.3):
 
 - Lemma 9's printed formula can undercut valid cliques; we use the
@@ -19,8 +23,8 @@ from __future__ import annotations
 from repro.graph.local import LocalGraph, h_index
 from repro.core.order import colorful_dmin_per_vertex, colorful_peel
 
-#: Table-II bound configurations: ub_AD = min(ub_s, ub_a, ub_c, ub_ac,
-#: ub_eac); the rest add one advanced bound on top.
+#: Table-II bound configurations: "s" (size only), "ad" (ub_AD = min of
+#: Lemmas 5–9) and "ad" plus one extra root bound (Lemmas 10–14).
 COMBOS = ("s", "ad", "ad+deg", "ad+h", "ad+cd", "ad+ch", "ad+cp")
 
 
@@ -71,21 +75,6 @@ def _en_attr_color(c_a: int, c_b: int, c_m: int, delta: int) -> int:
     if lo + c_m >= hi - delta:
         return c_a + c_b + c_m
     return 2 * (lo + c_m) + delta
-
-
-def ub_advanced(sub: LocalGraph, delta: int) -> int:
-    """ub_AD: min of the five cheap bounds (paper §VI-A grouping).
-
-    Lemmas 7–9 all follow from one color-group count of G'.
-    """
-    c_a, c_b, c_m = sub.color_groups(sub.adj)
-    return min(
-        ub_size(sub),
-        ub_attr(sub, delta),
-        c_a + c_b + c_m,
-        _fair_pair(c_a + c_m, c_b + c_m, delta),
-        _en_attr_color(c_a, c_b, c_m, delta),
-    )
 
 
 # -- Lemmas 10–11: classic structural bounds ---------------------------
@@ -144,21 +133,19 @@ def ub_colorful_path(sub: LocalGraph) -> int:
 
 
 def compute_ub(sub: LocalGraph, delta: int, combo: str) -> int:
-    """Evaluate a Table-II bound configuration on the branch subgraph."""
-    if combo == "s":
+    """A combo's extra root bound on the branch subgraph (ub_△, ub_h,
+    ub_cd, ub_ch or ub_cp); ub_size for "s" and "ad", which have none."""
+    if combo in ("s", "ad"):
         return ub_size(sub)
-    base = ub_advanced(sub, delta)
-    if combo == "ad":
-        return base
-    extra = combo.split("+", 1)[1]
+    extra = combo.partition("+")[2]
     if extra == "deg":
-        return min(base, ub_degeneracy(sub))
+        return ub_degeneracy(sub)
     if extra == "h":
-        return min(base, ub_h_index(sub))
+        return ub_h_index(sub)
     if extra == "cd":
-        return min(base, ub_colorful_degeneracy(sub, delta))
+        return ub_colorful_degeneracy(sub, delta)
     if extra == "ch":
-        return min(base, ub_colorful_h(sub, delta))
+        return ub_colorful_h(sub, delta)
     if extra == "cp":
-        return min(base, ub_colorful_path(sub))
+        return ub_colorful_path(sub)
     raise ValueError(f"unknown bound combo: {combo}")

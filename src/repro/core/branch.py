@@ -24,14 +24,16 @@ Tomita & Kameda, J. Glob. Optim. 2007):
   own class, in descending bit order, so a class's bound is the
   Lemma-5 size bound |R| + c and the candidates are expanded lowest bit
   first, each child taking the later candidates ∩ N(v);
-- every other combo: a greedy coloring of P (lowest bit first), and the
-  vertices of class c get ``min(|R| + c, fair(na + Xa(c), nb + Xb(c)))``
-  where Xa(c) / Xb(c) count the classes ≤ c holding an a- / b-vertex —
-  Lemmas 7–9 at every node; ``fair`` is Lemma 6's balance cap, 0 when
-  either side stays below k.
+- every other combo: ub_AD (Lemmas 5–9), implemented here only: a greedy
+  coloring of P, highest bit first, so the vertices latest in CalColorOD
+  order (the highest colorful cores) take the first classes; class c's
+  vertices get ``min(|R| + c, fair(na + Xa(c), nb + Xb(c)))``, Xa(c) /
+  Xb(c) counting the classes ≤ c with an a- / b-vertex and ``fair``
+  being Lemma 6's cap (0 if a side stays below k). That is Lemmas 7–8,
+  hence 5–9: 7 ≤ 5, 8 ≤ 6, and the corrected 9 is min(7, 8).
 
-The configured Table-II ub combo is applied once per root branch, on the
-root's subgraph — the paper applies the expensive bounds "when selecting
+A root adds only a combo's extra bound (Lemmas 10–14), on the root's
+subgraph — the paper applies the expensive bounds "when selecting
 vertices to be added to R for the first time" (§VI-B).
 
 Fairness is checked at *every* node (it is not monotone: extending a
@@ -39,6 +41,7 @@ fair clique can break the δ balance), so the maximum is never missed.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -89,6 +92,21 @@ class _State:
     roots_pruned: int = 0
 
 
+def check_query(k: int, delta: int, ub_combo: str, time_limit: float | None) -> None:
+    """Validate a search query: integral k ≥ 1 and δ ≥ 0 (``TypeError``
+    if not integral, else ``ValueError``), a combo of ``bounds.COMBOS``
+    and a positive ``time_limit`` or ``None`` (``ValueError``)."""
+    try:
+        operator.index(k), operator.index(delta)
+    except TypeError:
+        raise TypeError(f"k and delta must be integers, got k={k!r}, delta={delta!r}") from None
+    if k < 1 or delta < 0:
+        raise ValueError(f"need k >= 1 and delta >= 0, got k={k}, delta={delta}")
+    check_combo(ub_combo)
+    if time_limit is not None and not time_limit > 0:
+        raise ValueError(f"time_limit must be positive or None, got {time_limit!r}")
+
+
 def branch_search(
     lg: LocalGraph,
     k: int,
@@ -100,16 +118,16 @@ def branch_search(
 ) -> SearchResult:
     """Find a maximum (k, δ)-fair clique in ``lg``.
 
-    ``ub_combo`` selects the Table-II root-level bound configuration
-    (one of ``bounds.COMBOS``, else ``ValueError``). "s" is the basic
-    framework of Fig. 6: the size bound only, at the roots and at every
-    node. Every other combo bounds every node with the attribute-aware
-    coloring bound. ``best_init`` seeds the incumbent (HeurRFC
-    integration); it must be a fair clique of ``lg``, else
-    ``ValueError``.
+    ``ub_combo`` is one of ``bounds.COMBOS``: "s" is the basic framework
+    of Fig. 6, the size bound only; every other combo bounds every node
+    with ub_AD, and "ad+<x>" also bounds each root by its extra bound.
+    ``best_init`` seeds the incumbent (HeurRFC integration); it must be
+    a fair clique of ``lg``, else ``ValueError``. Past ``time_limit``
+    seconds the search stops with ``completed=False``. ``check_query``
+    validates the query.
     """
     t0 = time.perf_counter()
-    check_combo(ub_combo)
+    check_query(k, delta, ub_combo, time_limit)
     if best_init and not lg.is_fair_clique(best_init, k, delta):
         raise ValueError("best_init must be a (k, δ)-fair clique of lg")
     best = list(best_init or [])
@@ -130,7 +148,7 @@ def branch_search(
         delta=delta,
         colored=ub_combo != "s",
         best=best,
-        deadline=(t0 + time_limit) if time_limit else None,
+        deadline=None if time_limit is None else t0 + time_limit,
     )
     for i, u in enumerate(order):
         if st.deadline and time.perf_counter() > st.deadline:
@@ -141,10 +159,11 @@ def branch_search(
         if 1 + later.bit_count() <= floor:
             st.roots_pruned += 1
             continue
-        sub = lg.subgraph([u, *(v for v in lg.adj[u] if pos[v] > i)])
-        if compute_ub(sub, delta, ub_combo) <= floor:
-            st.roots_pruned += 1
-            continue
+        if ub_combo not in ("s", "ad"):  # a combo with an extra bound
+            sub = lg.subgraph([u, *(v for v in lg.adj[u] if pos[v] > i)])
+            if compute_ub(sub, delta, ub_combo) <= floor:
+                st.roots_pruned += 1
+                continue
         na = (amask >> i) & 1
         st.R.append(i)
         _expand(st, na, 1 - na, later)
@@ -210,7 +229,7 @@ def _singletons(P: int, r: int, floor: int) -> list[tuple[int, int]]:
 
 
 def _classes(st: _State, P: int, na: int, nb: int, floor: int) -> list[tuple[int, int]]:
-    """Greedy color classes of P (lowest bit first) with their
+    """Greedy color classes of P (highest bit first) with their
     attribute-aware bounds; only classes whose bound beats ``floor``
     are returned, ascending."""
     nonadj, amask, bmask, k = st.nonadj, st.amask, st.bmask, st.k
@@ -222,9 +241,9 @@ def _classes(st: _State, P: int, na: int, nb: int, floor: int) -> list[tuple[int
         cls = 0
         Q = P
         while Q:
-            low = Q & -Q
-            cls |= low
-            Q &= nonadj[low.bit_length() - 1]
+            j = Q.bit_length() - 1
+            cls |= 1 << j
+            Q &= nonadj[j]
         P ^= cls
         if cls & amask:
             xa += 1

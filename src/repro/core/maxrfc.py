@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.graph.builder import AttributedGraph
 from repro.graph.local import LocalGraph
-from repro.core.bounds import check_combo
-from repro.core.branch import SearchResult, branch_search
+from repro.core.branch import SearchResult, branch_search, check_query
 from repro.core.heuristic import heur_rfc
 from repro.core.reduction import ReductionReport, reduce_pipeline
 
@@ -45,12 +44,6 @@ class MaxRFCResult:
         return len(self.clique)
 
 
-def _check_query(k: int, delta: int, ub_combo: str) -> None:
-    if k < 1 or delta < 0:
-        raise ValueError(f"need k >= 1 and delta >= 0, got k={k}, delta={delta}")
-    check_combo(ub_combo)
-
-
 def max_rfc_local(
     lg: LocalGraph,
     k: int,
@@ -61,7 +54,7 @@ def max_rfc_local(
     time_limit: float | None = None,
 ) -> MaxRFCResult:
     """MaxRFC on an in-memory kernel (steps 3–4 of the pipeline)."""
-    _check_query(k, delta, ub_combo)
+    check_query(k, delta, ub_combo, time_limit)
     timings: dict[str, float] = {}
     heur_clique: list[int] = []
     g = lg
@@ -102,7 +95,7 @@ def max_rfc(
     time_limit: float | None = None,
 ) -> MaxRFCResult:
     """Full reduce-then-search pipeline (Algorithm 2) on a Spark graph."""
-    _check_query(k, delta, ub_combo)
+    check_query(k, delta, ub_combo, time_limit)
     t0 = time.perf_counter()
     report = reduce_pipeline(g, k)
     t_reduce = time.perf_counter() - t0

@@ -154,3 +154,22 @@ def test_bounds_sound_property(n, p, seed, delta, k):
     opt = brute_force_size(lg, k, delta)
     for name, ub in _all_bounds(lg, delta).items():
         assert ub >= opt, f"ub_{name} unsound on n={n} p={p} seed={seed}"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 24),
+    p=st.floats(0.1, 0.9),
+    p_a=st.floats(0.1, 0.9),
+    seed=st.integers(0, 10_000),
+    delta=st.integers(0, 5),
+)
+def test_ub_eac_is_ub_ad_property(n, p, p_a, seed, delta):
+    """The corrected Lemma 9 is min(Lemma 7, Lemma 8) and never above
+    Lemmas 5 and 6, so ub_eac alone equals ub_AD = min(Lemmas 5–9): the
+    per-node coloring bound of the search, min(ub_c, ub_ac) over its
+    classes, is all of ub_AD."""
+    lg = _lg(n, p, seed, p_a)
+    u = _all_bounds(lg, delta)
+    assert u["eac"] == min(u["c"], u["ac"])
+    assert u["eac"] <= min(u["s"], u["a"])

@@ -1,5 +1,7 @@
-"""Input contract: malformed frames and out-of-range (k, δ) raise
-``ValueError`` at the boundary, on the driver and the Spark path alike."""
+"""Input contract: malformed frames, out-of-range (k, δ) and a
+non-positive time limit raise ``ValueError``, a non-integral k or δ
+``TypeError``, at the boundary, on the driver and the Spark path alike."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -66,3 +68,37 @@ def test_unknown_ub_combo_rejected(spark):
             max_rfc_local(lg, k, 0, ub_combo="bogus")
         with pytest.raises(ValueError, match="unknown bound combo"):
             branch_search(lg, k, 0, ub_combo="bogus")
+
+
+@pytest.mark.parametrize("time_limit", [0, 0.0, -1, float("nan")])
+def test_nonpositive_time_limit_rejected(spark, time_limit):
+    """A time limit must be positive or ``None`` (unlimited); zero,
+    negative and NaN limits are rejected before any Spark job runs."""
+    jobs = spark.sparkContext._jsc.sc().dagScheduler()
+    g = from_pandas(spark, V, E)
+    before = jobs.nextJobId()
+    with pytest.raises(ValueError, match="time_limit"):
+        max_rfc(g, 1, 1, time_limit=time_limit)
+    assert jobs.nextJobId() == before
+    lg = LocalGraph.from_pandas(V, E)
+    for search in (max_rfc_local, branch_search):
+        with pytest.raises(ValueError, match="time_limit"):
+            search(lg, 1, 1, time_limit=time_limit)
+    assert len(branch_search(lg, 1, 1, time_limit=None).clique) == 3
+
+
+@pytest.mark.parametrize("k,delta", [(2.5, 2), (1, 1.0), ("1", 1), (1, None)])
+def test_non_integral_k_or_delta_rejected(spark, k, delta):
+    """A non-integral k or δ is a ``TypeError``, raised before any Spark
+    job runs; numpy integers are integral and accepted."""
+    jobs = spark.sparkContext._jsc.sc().dagScheduler()
+    g = from_pandas(spark, V, E)
+    before = jobs.nextJobId()
+    with pytest.raises(TypeError, match="integers"):
+        max_rfc(g, k, delta)
+    assert jobs.nextJobId() == before
+    lg = LocalGraph.from_pandas(V, E)
+    for search in (max_rfc_local, branch_search):
+        with pytest.raises(TypeError, match="integers"):
+            search(lg, k, delta)
+    assert len(branch_search(lg, np.int64(1), np.int64(1)).clique) == 3

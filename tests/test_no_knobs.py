@@ -1,13 +1,17 @@
-"""Guards against settings that only ever take their default value."""
+"""Guards against settings that only ever take their default value, and
+against a second code path for one decision."""
 import inspect
 import re
 from pathlib import Path
 
 import repro
-from repro.core import branch
+from repro.core import bounds, branch
+from repro.core.baseline import brute_force_size
 from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
 from repro.core.reduction import reduce_pipeline
+from repro.graph import gen
+from repro.graph.local import LocalGraph
 
 
 def test_pipeline_has_no_knobs_and_src_reads_no_env():
@@ -44,3 +48,25 @@ def test_core_does_not_import_pyspark():
         if re.search(r"^\s*(from|import)\s+pyspark", path.read_text(), re.M)
     ]
     assert importers == []
+
+
+def test_ub_ad_has_one_implementation(monkeypatch):
+    """ub_AD is the search's per-node coloring bound only: the root-level
+    copy (``bounds.ub_advanced`` on a recolored per-root subgraph) must
+    not come back, so under "s" and "ad" no root calls ``compute_ub``,
+    while a combo with an extra root bound still does."""
+    assert not hasattr(bounds, "ub_advanced")
+    lg = LocalGraph.from_pandas(*gen.random_attributed_graph(30, 0.5, seed=3))
+    expect = brute_force_size(lg, 2, 1)
+
+    def refuse(*args):
+        raise AssertionError("compute_ub called under a combo without an extra bound")
+
+    monkeypatch.setattr(branch, "compute_ub", refuse)
+    for combo in ("s", "ad"):
+        res = branch_search(lg, 2, 1, ub_combo=combo)
+        assert res.completed and len(res.clique) == expect
+    calls = []
+    monkeypatch.setattr(branch, "compute_ub", lambda *a: calls.append(a[2]) or bounds.compute_ub(*a))
+    assert len(branch_search(lg, 2, 1, ub_combo="ad+cp").clique) == expect
+    assert calls and set(calls) == {"ad+cp"}
