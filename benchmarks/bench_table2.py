@@ -6,8 +6,8 @@ ub_AD+ub_h, ub_AD+ub_cd, ub_AD+ub_ch, ub_AD+ub_cp. We reproduce the
 full grid; each cell's time = that config's heuristic + branch-and-bound
 time. The reduction the six configs share is reported once per row in
 two columns (see ``repro.bench_harness``): ``collect`` is the collect
-and coloring of G (the ``original`` stage) and ``peel`` the three
-reduction stages, EnColorfulCore → ColorfulSup → EnColorfulSup.
+and coloring of G (the ``original`` stage) and ``peel`` the reduction
+stages, EnColorfulCore → EnColorfulSup.
 
 The assembled markdown table is printed at the end of the module so it
 can be pasted into EXPERIMENTS.md next to the paper's numbers.

@@ -1,26 +1,25 @@
 """Fig. 6/7 as a table: MaxRFC vs MaxRFC+ub vs MaxRFC+ub+HeurRFC.
 
 The baseline is the basic framework (``ub_combo="s"``: size-only
-pruning, Lemma 5, no heuristic); +ub takes the dataset's best Table-II
-root bound, which also turns on the per-node coloring bound;
-+ub+HeurRFC additionally seeds the incumbent with the heuristic and
-searches the (|R*|−1)-core. Paper shape: the pruned variants are
+pruning, Lemma 5, no heuristic); +ub is ub_AD (``"ad"``), the per-node
+coloring bound, on every dataset; +ub+HeurRFC additionally seeds the
+incumbent with the heuristic and searches the (|R*|−1)-core. The paper
+picks each dataset's best extra root bound (cp or cd) for +ub; here
+each of those is slower than plain ub_AD in nearly every Table II row
+(EXPERIMENTS.md, claim 5). Paper shape: the pruned variants are
 dramatically faster (paper: ~15–20× on Flixster at k=2); at our scale we
 report both wall time (heuristic + search; the variants share one
 reduction) and search-tree nodes (the scale-free pruning signal).
 
 The baseline gets a 60 s budget; "INF" marks a timeout, as in the paper.
 """
+import gc
+
 import pytest
 
 from repro.graph.gen import DATASETS, PARAM_GRID
 from repro.core.maxrfc import max_rfc_local
 from repro.bench_harness import emit_table, kernel
-
-BEST_UB = {  # per-dataset best combos (paper §VI-B: cp for three, cd otherwise)
-    "themarker": "ad+cp", "google": "ad+cp", "pokec": "ad+cp",
-    "dblp": "ad+cd", "flixster": "ad+cd", "aminer": "ad+cd",
-}
 
 VARIANTS = ("base", "ub", "ub+heur")
 _ROWS: dict[tuple[str, str], tuple[float, int, int, bool]] = {}
@@ -31,12 +30,13 @@ _ROWS: dict[tuple[str, str], tuple[float, int, int, bool]] = {}
 def test_variant(benchmark, spark, name, variant):
     _, kdef, _, ddef = PARAM_GRID[name]
     lg = kernel(spark, name, kdef).graph
-    combo = "s" if variant == "base" else BEST_UB[name]
+    combo = "s" if variant == "base" else "ad"
 
     def run():
         return max_rfc_local(lg, kdef, ddef, ub_combo=combo,
                              use_heuristic=variant == "ub+heur", time_limit=60.0)
 
+    gc.collect()  # else a full collection owed by earlier tests can land in a cell (~80 ms)
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     _ROWS[(name, variant)] = (sum(res.timings.values()), res.size,
                               res.search.nodes, res.search.completed)

@@ -2,7 +2,7 @@
 
 A cell is that config's heuristic + search time in ms; ``collect`` and
 ``peel`` split the reduction the row's six configs share into the
-collect + coloring of G and the three peel stages.
+collect + coloring of G and the peel stages.
 
     spark-submit jobs/run_table2.py [--scale 1.0] [--datasets dblp aminer]
 """

@@ -63,7 +63,7 @@ def kernel(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> Reduct
 
 def reduce_seconds(report: ReductionReport) -> tuple[float, float]:
     """(collect, peel) seconds of a reduction: the ``original`` stage
-    (collect + coloring of G) and the sum of the three peel stages."""
+    (collect + coloring of G) and the sum of the peel stages."""
     secs = [s[3] for s in report.stages]
     return secs[0], sum(secs[1:])
 

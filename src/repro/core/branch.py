@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.graph.local import LocalGraph
-from repro.core.bounds import _fair_pair, check_combo, compute_ub
+from repro.core.bounds import check_combo, compute_ub
 from repro.core.order import cal_color_od
 
 ATTR_A = "a"
@@ -72,15 +72,14 @@ class _State:
     """The bitset kernel and the incumbent of one search.
 
     ``nbr[i]`` is the neighbour bitset of ``order[i]`` and ``nonadj[i]``
-    its complement without ``i``; ``amask`` / ``bmask`` hold the a- / b-
-    vertices and ``R`` the current clique as a stack of bit indices.
+    its complement without ``i``; ``amask`` holds the a-vertices (the
+    rest are b) and ``R`` the current clique as a stack of bit indices.
     """
 
     order: list[int]
     nbr: list[int]
     nonadj: list[int]
     amask: int
-    bmask: int
     k: int
     delta: int
     colored: bool
@@ -143,7 +142,6 @@ def branch_search(
         nbr=nbr,
         nonadj=[full ^ x ^ (1 << i) for i, x in enumerate(nbr)],
         amask=amask,
-        bmask=full ^ amask,
         k=k,
         delta=delta,
         colored=ub_combo != "s",
@@ -232,10 +230,10 @@ def _classes(st: _State, P: int, na: int, nb: int, floor: int) -> list[tuple[int
     """Greedy color classes of P (highest bit first) with their
     attribute-aware bounds; only classes whose bound beats ``floor``
     are returned, ascending."""
-    nonadj, amask, bmask, k = st.nonadj, st.amask, st.bmask, st.k
+    nonadj, amask, k, delta = st.nonadj, st.amask, st.k, st.delta
     r = len(st.R)
     out = []
-    c = xa = xb = 0
+    c, x, y = 0, na, nb  # x, y: na + Xa(c), nb + Xb(c)
     while P:
         c += 1
         cls = 0
@@ -245,13 +243,16 @@ def _classes(st: _State, P: int, na: int, nb: int, floor: int) -> list[tuple[int
             cls |= 1 << j
             Q &= nonadj[j]
         P ^= cls
-        if cls & amask:
-            xa += 1
-        if cls & bmask:
-            xb += 1
-        x, y = na + xa, nb + xb
-        if x >= k and y >= k:  # else no fair clique: bound 0
-            ub = min(r + c, _fair_pair(x, y, st.delta))
-            if ub > floor:
-                out.append((ub, cls))
+        a = cls & amask
+        if a:
+            x += 1
+        if a != cls:  # a b-vertex
+            y += 1
+        if r + c <= floor or x < k or y < k:  # bound ≤ floor, or 0: no fair clique
+            continue
+        ub = x + y if -delta <= x - y <= delta else 2 * (x if x < y else y) + delta
+        if ub > r + c:  # min(|R| + c, fair(x, y))
+            ub = r + c
+        if ub > floor:
+            out.append((ub, cls))
     return out

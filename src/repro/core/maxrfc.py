@@ -4,9 +4,9 @@ search on the driver.
 ``max_rfc`` wires the pieces together:
 
 1. collect G from Spark once and color it greedily on the driver;
-2. the reductions EnColorfulCore(k−1) → ColorfulSup(k) →
-   EnColorfulSup(k) (Algorithm 2, lines 1–3), batch-peeled with numpy,
-   giving the kernel as a colored ``LocalGraph``;
+2. the reductions EnColorfulCore(k−1) → EnColorfulSup(k) (Algorithm 2,
+   lines 1–3, without its ColorfulSup, which cannot change the kernel),
+   batch-peeled with numpy, giving the kernel as a colored ``LocalGraph``;
 3. optionally HeurRFC to seed the incumbent and pre-prune the kernel to
    the (|R*|−1)-core (the paper's Remark in §V);
 4. branch-and-bound with the configured Table-II upper-bound combo.

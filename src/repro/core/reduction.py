@@ -18,9 +18,9 @@ lowest (degree, label)-ranked vertex by looking pairs of its
 out-neighbors up in the sorted oriented edge keys (Chu & Cheng, KDD 2011),
 a bounded block of pairs at a time, so no triangle list is ever built.
 
-``reduce_pipeline`` collects and colors G once and chains
-EnColorfulCore(k−1) → ColorfulSup(k) → EnColorfulSup(k) (Algorithm 2
-lines 1–3), each stage to its exact fixpoint, reporting per-stage (n, m).
+``reduce_pipeline`` collects and colors G once and chains EnColorfulCore(k−1)
+→ EnColorfulSup(k), each to its exact fixpoint, reporting per-stage (n, m);
+Algorithm 2's ColorfulSup between them cannot change the kernel (DESIGN.md §3.3.7).
 """
 from __future__ import annotations
 
@@ -179,7 +179,7 @@ class ReductionReport:
 
 
 def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
-    """Algorithm 2, lines 1–3: EnColorfulCore → ColorfulSup → EnColorfulSup.
+    """Algorithm 2, lines 1–3, without ColorfulSup: EnColorfulCore → EnColorfulSup.
 
     G is collected and colored once (``color_graph_local``; its time is the
     ``original`` row's), and every stage peels that coloring (a proper
@@ -191,7 +191,6 @@ def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
     stages = [("original", cur.n, cur.m, time.perf_counter() - t0)]
     peels = (
         ("encore", lambda h: en_colorful_core(h, k - 1)),
-        ("sup", lambda h: colorful_sup_reduce(h, k)),
         ("ensup", lambda h: colorful_sup_reduce(h, k, enhanced=True)),
     )
     for name, peel in peels:

@@ -30,6 +30,14 @@ def test_search_matches_brute_force(seed, k, delta):
         assert lg.is_fair_clique(res.clique, k, delta)
 
 
+def test_dense_gnp_search_tree_pinned():
+    """The dense benchmark query, G(240, 0.5) at seed 0 with k = 3 and
+    δ = 2: a node-loop change that keeps the search tree keeps this
+    node count."""
+    res = max_rfc_local(_lg(240, 0.5, 0), 3, 2)
+    assert (res.search.nodes, res.size) == (21_304, 11)
+
+
 @pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("seed", range(4))
 def test_all_ub_combos_agree(combo, seed):

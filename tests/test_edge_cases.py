@@ -5,7 +5,8 @@ The fixed cases cover an empty graph, a graph without edges, a single
 attribute, k = 1 with δ = 0, k > n/2 and sparse, negative and 64-bit
 ids; ``hypothesis`` properties then check the search against brute force
 and each reduction stage against ``core/reference.py`` on small random
-attributed graphs (driver only, so they stay fast).
+attributed graphs (driver only, so they stay fast), and the whole Spark
+pipeline against both on a capped number of graphs of up to 30 vertices.
 """
 import pandas as pd
 import pytest
@@ -81,21 +82,43 @@ def _edges(g):
     return set(zip(e["src"], e["dst"]))
 
 
+def _ensup(g, k):
+    return colorful_sup_reduce(g, k, enhanced=True)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(frames=attributed_graphs(max_n=12), k=st.integers(1, 4))
 def test_driver_stages_match_reference(frames, k):
     """Each batch peel equals the one-at-a-time reference: both vertex
-    peels on G, then the pipeline's chain EnColorfulCore(k−1) →
-    ColorfulSup(k) → EnColorfulSup(k), each stage on the one before."""
+    peels on G, then Algorithm 2's chain EnColorfulCore(k−1) →
+    ColorfulSup(k) → EnColorfulSup(k), each stage on the one before.
+    EnColorfulSup alone gives what ColorfulSup → EnColorfulSup gives,
+    on the EnColorfulCore output and on G (DESIGN.md §3.3.7), so the
+    pipeline skips ColorfulSup."""
     g = ColoredGraph.from_pandas(*frames)
     lg = LocalGraph.from_pandas(*g.frames())
     for peel, enhanced in ((colorful_core, False), (en_colorful_core, True)):
         want = ref.reference_core_peel(lg, k - 1, enhanced=enhanced)
         # The batch peel also drops the isolated vertices (at t = 0 only).
         assert _vertices(peel(g, k - 1)) == {v for v in want if lg.adj[v] & want}
-    g = en_colorful_core(g, k - 1)
+    core = h = en_colorful_core(g, k - 1)
     for enhanced in (False, True):
-        want = ref.reference_sup_peel(LocalGraph.from_pandas(*g.frames()), k, enhanced=enhanced)
-        g = colorful_sup_reduce(g, k, enhanced=enhanced)
-        assert _edges(g) == want
-        assert _vertices(g) == {u for uv in want for u in uv}
+        want = ref.reference_sup_peel(LocalGraph.from_pandas(*h.frames()), k, enhanced=enhanced)
+        h = colorful_sup_reduce(h, k, enhanced=enhanced)
+        assert _edges(h) == want
+        assert _vertices(h) == {u for uv in want for u in uv}
+    for start, chained in ((core, h), (g, _ensup(colorful_sup_reduce(g, k), k))):
+        direct = _ensup(start, k)
+        assert (_vertices(direct), _edges(direct)) == (_vertices(chained), _edges(chained))
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)  # ~0.4 s each
+@given(frames=attributed_graphs(max_n=30), k=st.integers(1, 3), delta=st.integers(0, 2))
+def test_spark_pipeline_matches_driver_and_brute_force(spark, frames, k, delta):
+    """End to end on up to 30 vertices: ``max_rfc`` through the Spark
+    lift, ``max_rfc_local`` and brute force give one size."""
+    lg = LocalGraph.from_pandas(*frames)
+    want = brute_force_size(lg, k, delta)
+    for res in (max_rfc_local(lg, k, delta), max_rfc(from_pandas(spark, *frames), k, delta)):
+        assert res.size == want
+        assert not res.clique or lg.is_fair_clique(res.clique, k, delta)

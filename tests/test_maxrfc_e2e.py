@@ -69,7 +69,7 @@ def test_reduction_report_attached(spark):
     res = max_rfc(g, 4, 2)
     assert res.reduction is not None
     names = [s[0] for s in res.reduction.stages]
-    assert names == ["original", "encore", "sup", "ensup"]
+    assert names == ["original", "encore", "ensup"]
     assert "reduce" in res.timings and "search" in res.timings
 
 

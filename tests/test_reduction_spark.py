@@ -140,7 +140,7 @@ def test_pipeline_monotone_shrink(spark, dense_graph):
     sizes = [(n, m) for _, n, m, _ in rep.stages]
     for (n1, m1), (n2, m2) in zip(sizes, sizes[1:]):
         assert n2 <= n1 and m2 <= m1
-    assert [s[0] for s in rep.stages] == ["original", "encore", "sup", "ensup"]
+    assert [s[0] for s in rep.stages] == ["original", "encore", "ensup"]
 
 
 def test_pipeline_k1_stage_rows(spark):
@@ -160,7 +160,6 @@ def test_pipeline_k1_stage_rows(spark):
     assert [s[:3] for s in rep.stages] == [
         ("original", len(v), len(e)),
         ("encore", len(touched), len(e)),
-        ("sup", *row(ref.reference_sup_peel(lg, 1, enhanced=False))),
         ("ensup", *row(ref.reference_sup_peel(lg, 1, enhanced=True))),
     ]
 
