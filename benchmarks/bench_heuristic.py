@@ -22,7 +22,7 @@ def test_heuristic_vs_exact(benchmark, spark, name, k):
     heur = benchmark.pedantic(
         lambda: heur_rfc(lg, k, ddef), rounds=1, iterations=1
     )
-    exact = max_rfc_local(lg, k, ddef, ub_combo="ad+cd", time_limit=30.0)
+    exact = max_rfc_local(lg, k, ddef, time_limit=30.0)
     _ROWS[(name, k)] = (len(heur.clique), exact.size)
     assert len(heur.clique) <= exact.size
     if heur.clique:

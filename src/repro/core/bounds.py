@@ -1,9 +1,9 @@
 """Upper bounds on MRFC(R, C) — the max fair-clique size in a branch.
 
 Implements the paper's full bound family (Lemmas 5–14). Each bound takes
-the induced ``LocalGraph`` of R ∪ C (recolored locally, as the paper
-recolors G' per branch) and returns an integer upper bound on the size
-of any (k, δ)-fair clique inside it.
+the induced ``LocalGraph`` of R ∪ C, which keeps G's coloring (the
+paper recolors G' per branch; DESIGN.md §3.3.4), and returns an integer
+upper bound on the size of any (k, δ)-fair clique inside it.
 
 ub_AD (Lemmas 5–9) is computed only by the search's per-node coloring
 (``branch._classes``); the Lemma 5–9 functions here are its tested
@@ -116,7 +116,6 @@ def ub_colorful_path(sub: LocalGraph) -> int:
     every clique is such a path. DP over the topological (color, id)
     order gives the longest one in O(V + E).
     """
-    sub.ensure_colors()
     if not sub.adj:
         return 0
     verts = sorted(sub.adj, key=lambda v: (sub.color[v], v))

@@ -9,9 +9,9 @@ degree) instead of degree. The final set is a clique by construction;
 it is returned only if it meets the fairness constraints.
 
 Algorithm 6 (HeurRFC) runs DegHeur, prunes to the (|R*|−1)-core, runs
-ColorfulDegHeur, keeps the larger clique, and reports the color count of
-a fresh greedy coloring of the residual graph as a global upper bound
-(the input graph's own coloring is left as it is).
+ColorfulDegHeur, keeps the larger clique, and reports the number of
+colors the residual graph keeps from G's coloring as a global upper
+bound (Lemma 7; a subgraph inherits its graph's coloring).
 
 Both run in O(|V| + |E|) on the driver-side kernel.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graph.coloring import sequential_greedy
 from repro.graph.local import LocalGraph
 from repro.core.order import colorful_dmin_per_vertex
 
@@ -110,6 +109,5 @@ def heur_rfc(lg: LocalGraph, k: int, delta: int) -> HeurResult:
     if len(r2) > len(best):
         best = r2
         g = g.k_core(len(best) - 1)
-    # Colors of a fresh greedy coloring of g; g's own (the caller's) stay.
-    ub = len(set(sequential_greedy(g.adj).values()))
+    ub = len(set(g.color.values()))
     return HeurResult(clique=best, ub=max(ub, len(best)), graph=g)

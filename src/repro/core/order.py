@@ -18,10 +18,9 @@ from repro.graph.local import LocalGraph
 def colorful_peel(lg: LocalGraph) -> tuple[list[int], dict[int, int], int]:
     """Peel by min colorful degree.
 
-    Returns (removal order, ccore numbers per vertex, colorful degeneracy).
-    Requires/creates a proper coloring on ``lg``.
+    Returns (removal order, ccore numbers per vertex, colorful degeneracy)
+    under ``lg``'s own coloring.
     """
-    lg.ensure_colors()
     # Per-vertex multiset of neighbor (attr, color) pairs and distinct
     # color counts per attribute.
     cnt: dict[int, dict[tuple[str, int], int]] = {}

@@ -33,7 +33,6 @@ def vertex_groups(lg: LocalGraph, alive: set[int], v: int) -> tuple[int, int, in
 
 def reference_core_peel(lg: LocalGraph, t: int, *, enhanced: bool) -> set[int]:
     """Sequential (En)ColorfulCore: one vertex removed per step."""
-    lg.ensure_colors()
     alive = set(lg.adj)
     if t <= 0:
         return alive
@@ -97,7 +96,6 @@ def reference_sup_peel(
     lg: LocalGraph, k: int, *, enhanced: bool
 ) -> set[tuple[int, int]]:
     """Sequential (En)ColorfulSup: one edge removed per step (Alg. 1)."""
-    lg.ensure_colors()
     edges = {
         (min(u, v), max(u, v)) for u in lg.adj for v in lg.adj[u]
     }

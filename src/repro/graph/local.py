@@ -5,6 +5,11 @@ kernel is 55K edges from 44.6M). The branch-and-bound search, the
 heuristics, and the per-branch upper bounds are inherently sequential,
 so they run on this adjacency-set representation, which
 ``reduce_pipeline`` builds once from the colored kernel.
+
+A ``LocalGraph`` is colored once, when it is built, and every subgraph
+keeps that coloring: a proper coloring stays proper on any induced
+subgraph, so the kernel carries G's coloring to HeurRFC, CalColorOD,
+the search and the root bounds, and none of them recolors.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ ATTR_B = "b"
 
 @dataclass
 class LocalGraph:
-    """Adjacency-set graph with vertex attributes and (optional) colors."""
+    """Adjacency-set graph with vertex attributes and a proper coloring."""
 
     adj: dict[int, set[int]]
     attr: dict[int, str]
@@ -33,7 +38,9 @@ class LocalGraph:
         """Build from pandas frames; ``ValueError`` if ``check_frames`` rejects them.
 
         A ``color`` column of ``vertices`` (a colored graph's vertex frame)
-        becomes the coloring; without one the graph starts uncolored.
+        becomes the coloring, and ``ValueError`` is raised unless it holds
+        non-negative integers and gives adjacent vertices distinct colors;
+        without one the graph is colored by ``sequential_greedy``.
         """
         check_frames(vertices, edges)
         attr = dict(zip(vertices["id"].astype(int), vertices["attr"]))
@@ -43,11 +50,14 @@ class LocalGraph:
                 continue
             adj[u].add(v)
             adj[v].add(u)
-        color = (
-            dict(zip(vertices["id"].astype(int), vertices["color"].astype(int)))
-            if "color" in vertices
-            else {}
-        )
+        if "color" not in vertices:
+            return cls(adj=adj, attr=attr, color=sequential_greedy(adj))
+        col = vertices["color"]
+        if not pd.api.types.is_integer_dtype(col) or (col < 0).any():
+            raise ValueError("vertex colors must be non-negative integers")
+        color = dict(zip(vertices["id"].astype(int), col.astype(int)))
+        if any(color[u] == color[v] for u in adj for v in adj[u]):
+            raise ValueError("vertex colors must differ on every edge")
         return cls(adj=adj, attr=attr, color=color)
 
     # -- basics --------------------------------------------------------
@@ -62,26 +72,12 @@ class LocalGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def recolor(self) -> None:
-        """(Re)assign a degree-ordered sequential greedy coloring."""
-        self.color = sequential_greedy(self.adj)
-
-    def ensure_colors(self) -> None:
-        """Color greedily when there are fewer colors than vertices.
-
-        A kept coloring is the graph's own or one of a supergraph (the
-        kernel keeps the coloring of G), so counting suffices; it keeps
-        this O(1) for ``color_groups``, which runs once per neighborhood.
-        """
-        if len(self.color) < len(self.adj):
-            self.recolor()
-
     def subgraph(self, verts) -> "LocalGraph":
-        """Induced subgraph (colors are *not* carried; recolor if needed)."""
+        """Induced subgraph; it keeps this graph's coloring."""
         vs = set(verts)
         adj = {v: (self.adj[v] & vs) for v in vs}
         attr = {v: self.attr[v] for v in vs}
-        return LocalGraph(adj=adj, attr=attr)
+        return LocalGraph(adj=adj, attr=attr, color={v: self.color[v] for v in vs})
 
     def is_clique(self, verts) -> bool:
         vs = list(verts)
@@ -99,7 +95,6 @@ class LocalGraph:
     def color_groups(self, verts) -> tuple[int, int, int]:
         """(c_a, c_b, c_m): colors among ``verts`` held only by a-vertices,
         only by b-vertices, and by both (mixed)."""
-        self.ensure_colors()
         cols_a: set[int] = set()
         cols_b: set[int] = set()
         for v in verts:

@@ -15,7 +15,6 @@ DELTAS = [0, 1, 3]
 def _lg(n, p, seed, p_a=0.5):
     v, e = gen.random_attributed_graph(n, p, seed=seed, p_a=p_a)
     lg = LocalGraph.from_pandas(v, e)
-    lg.recolor()
     return lg
 
 
@@ -91,7 +90,6 @@ def test_ub_colorful_path_on_clique():
     v = pd.DataFrame({"id": range(5), "attr": ["a", "b"] * 2 + ["a"]})
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
-    lg.recolor()
     assert bounds.ub_colorful_path(lg) == 5
 
 

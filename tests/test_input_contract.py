@@ -1,6 +1,7 @@
-"""Input contract: malformed frames, out-of-range (k, δ) and a
-non-positive time limit raise ``ValueError``, a non-integral k or δ
-``TypeError``, at the boundary, on the driver and the Spark path alike."""
+"""Input contract: malformed frames, an improper ``color`` column,
+out-of-range (k, δ) and a non-positive time limit raise ``ValueError``,
+a non-integral k or δ ``TypeError``, at the boundary, on the driver and
+the Spark path alike."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -38,6 +39,24 @@ def test_unknown_attribute_rejected(lift):
 def test_duplicate_vertex_id_rejected(lift):
     with pytest.raises(ValueError, match="duplicate"):
         lift(pd.concat([V, pd.DataFrame({"id": [1], "attr": ["a"]})]), E)
+
+
+@pytest.mark.parametrize("color", [
+    [0, 0, 1, 2],                    # 0 and 1 are adjacent
+    [2, 0, 1, 1],                    # 2 and 3 are adjacent
+    [2, 0, 1, -1],                   # negative
+    [2.0, 0.0, 1.0, 0.5],            # not integers
+    [2.0, 0.0, 1.0, float("nan")],
+    ["2", "0", "1", "0"],
+], ids=["adjacent-0-1", "adjacent-2-3", "negative", "fraction", "nan", "strings"])
+def test_improper_color_column_rejected(color):
+    """Nothing recolors a ``LocalGraph``, so every bound relies on the
+    coloring it is built with: an improper one is rejected, a proper
+    one is kept."""
+    with pytest.raises(ValueError, match="colors"):
+        LocalGraph.from_pandas(V.assign(color=color), E)
+    lg = LocalGraph.from_pandas(V.assign(color=[2, 0, 1, 0]), E)
+    assert lg.color == {0: 2, 1: 0, 2: 1, 3: 0}
 
 
 @pytest.mark.parametrize("k,delta", [(0, 1), (1, -1)])

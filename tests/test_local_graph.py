@@ -69,7 +69,6 @@ def test_color_groups_match_reference_and_bounds(seed, p_a):
     """Per neighborhood the color groups equal the reference oracle's;
     over the whole graph they give Lemma 7's and Lemma 8's bounds."""
     lg = _lg(seed=seed, p_a=p_a)
-    lg.recolor()
     alive = set(lg.adj)
     for v in lg.adj:
         assert lg.color_groups(lg.adj[v]) == reference.vertex_groups(lg, alive, v)
@@ -84,24 +83,28 @@ def test_color_groups_match_reference_and_bounds(seed, p_a):
 
 
 def test_recolor_is_proper():
+    """``from_pandas`` colors a frame without a ``color`` column properly."""
     lg = _lg(seed=3)
-    lg.recolor()
+    assert set(lg.color) == set(lg.adj)
     for u, nbrs in lg.adj.items():
         for v in nbrs:
             assert lg.color[u] != lg.color[v]
 
 
 def test_recolor_matches_sequential_greedy():
+    """The coloring ``from_pandas`` makes is ``sequential_greedy``'s."""
     lg = _lg(seed=4)
-    lg.recolor()
     assert lg.color == sequential_greedy(lg.adj)
 
 
 def test_k_core_min_degree():
+    """The core has min degree ≥ k and keeps the input's coloring."""
     lg = _lg(n=50, p=0.15, seed=5)
     core = lg.k_core(3)
+    assert core.n > 0
     for v in core.adj:
         assert len(core.adj[v]) >= 3
+    assert core.color == {v: lg.color[v] for v in core.adj}
 
 
 def test_k_core_is_maximal_against_reference():

@@ -10,7 +10,7 @@ from repro.core.baseline import brute_force_size
 from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
 from repro.core.reduction import reduce_pipeline
-from repro.graph import gen
+from repro.graph import coloring, gen, local
 from repro.graph.local import LocalGraph
 
 
@@ -70,3 +70,25 @@ def test_ub_ad_has_one_implementation(monkeypatch):
     monkeypatch.setattr(branch, "compute_ub", lambda *a: calls.append(a[2]) or bounds.compute_ub(*a))
     assert len(branch_search(lg, 2, 1, ub_combo="ad+cp").clique) == expect
     assert calls and set(calls) == {"ad+cp"}
+
+
+def test_kernel_is_colored_once(monkeypatch):
+    """A ``LocalGraph`` is colored when it is built and every subgraph
+    keeps that coloring: no lazy recoloring may come back, and with the
+    greedy coloring made to raise, every combo, with and without
+    HeurRFC, still finds the maximum on a colored kernel."""
+    assert not hasattr(LocalGraph, "ensure_colors")
+    assert not hasattr(LocalGraph, "recolor")
+    lg = LocalGraph.from_pandas(*gen.random_attributed_graph(30, 0.5, seed=3))
+    expect = brute_force_size(lg, 2, 1)
+    assert expect > 0
+
+    def refuse(adj):
+        raise AssertionError("a colored kernel was recolored")
+
+    monkeypatch.setattr(local, "sequential_greedy", refuse)
+    monkeypatch.setattr(coloring, "sequential_greedy", refuse)
+    for combo in bounds.COMBOS:
+        for use_heuristic in (True, False):
+            res = max_rfc_local(lg, 2, 1, ub_combo=combo, use_heuristic=use_heuristic)
+            assert res.search.completed and res.size == expect

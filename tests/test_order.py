@@ -15,7 +15,6 @@ from repro.core.order import (
 def _lg(n=30, p=0.3, seed=0):
     v, e = gen.random_attributed_graph(n, p, seed=seed)
     lg = LocalGraph.from_pandas(v, e)
-    lg.recolor()
     return lg
 
 
@@ -76,7 +75,6 @@ def test_peel_on_balanced_clique():
     v = pd.DataFrame({"id": range(6), "attr": ["a", "b"] * 3})
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
-    lg.recolor()
     _, ccore, cdeg = colorful_peel(lg)
     assert cdeg == 2
     assert all(c == 2 for c in ccore.values())

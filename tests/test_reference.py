@@ -15,7 +15,6 @@ from repro.core.baseline import brute_force_size
 def _lg(n=30, p=0.3, seed=0):
     v, e = gen.random_attributed_graph(n, p, seed=seed)
     lg = LocalGraph.from_pandas(v, e)
-    lg.recolor()
     return lg
 
 
