@@ -5,14 +5,17 @@ Caches per-(dataset, k) reductions so the Table-II sweep (6 datasets ×
 reduction is identical work for every ub configuration, as in the
 paper, where the configs differ only inside the branch-and-bound.
 ``kernel`` reduces exactly as ``max_rfc`` does — ``reduce_pipeline(g,
-k)`` on the lifted graph: one collect, the coloring, every stage to its
-exact fixpoint on the driver — and caches the ``ReductionReport`` it
-returns. Callers search ``report.graph`` with ``max_rfc_local``, which
-never recolors it, so every cell searches the same coloring whatever
-order the cells run in.
+k)`` on the lifted graph: one collect (its two jobs overlapped), the
+coloring, every stage to its exact fixpoint on the driver — and caches
+the ``ReductionReport`` it returns. Callers search ``report.graph``, the
+``ColoredGraph`` kernel, with ``max_rfc_local``, which never recolors
+it, so every cell searches the same coloring whatever order the cells
+run in.
 
 A cell's time is that configuration's heuristic + search
-(``sum(res.timings.values())``); the reduction time is reported once
+(``sum(res.timings.values())``): for a combo with an extra root bound
+it includes building the ``LocalGraph`` its root subgraphs are cut
+from, which ``max_rfc`` pays per call too. The reduction time is reported once
 per (dataset, k) from ``report.stages``, split by ``reduce_seconds``
 into the collect + coloring and the peels. The first reduction of a
 session also carries the session's one-off collect cost.

@@ -21,7 +21,7 @@ Soundness adjustments vs. the printed lemmas (DESIGN.md §3.3):
 from __future__ import annotations
 
 from repro.graph.local import LocalGraph, h_index
-from repro.core.order import colorful_dmin_per_vertex, colorful_peel
+from repro.core.order import colorful_degeneracy
 
 #: Table-II bound configurations: "s" (size only), "ad" (ub_AD = min of
 #: Lemmas 5–9) and "ad" plus one extra root bound (Lemmas 10–14).
@@ -96,15 +96,16 @@ def ub_colorful_degeneracy(sub: LocalGraph, delta: int) -> int:
 
     Every vertex of a fair clique with counts (x_a, x_b) has colorful
     core number ≥ min(x_a, x_b) − 1, so
-    size ≤ 2·(colorful degeneracy + 1) + δ.
+    size ≤ 2·(colorful degeneracy + 1) + δ. The degeneracy is peeled
+    on ``sub``'s arrays, with its (G's) coloring.
     """
-    _, _, cdeg = colorful_peel(sub)
-    return min(sub.n, 2 * (cdeg + 1) + delta)
+    return min(sub.n, 2 * (colorful_degeneracy(sub.colored()) + 1) + delta)
 
 
 def ub_colorful_h(sub: LocalGraph, delta: int) -> int:
-    """Lemma 13 (sound form): size ≤ 2·(colorful h-index + 1) + δ."""
-    dmins = list(colorful_dmin_per_vertex(sub).values())
+    """Lemma 13 (sound form): size ≤ 2·(colorful h-index + 1) + δ, over
+    every vertex's D_min = min(c_a, c_b) + c_m of its neighbours."""
+    dmins = [min(c_a, c_b) + c_m for c_a, c_b, c_m in map(sub.color_groups, sub.adj.values())]
     return min(sub.n, 2 * (h_index(dmins) + 1) + delta)
 
 

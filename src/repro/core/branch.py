@@ -10,10 +10,12 @@ a unique earliest root vertex, so every clique is enumerated exactly
 once) and replace the alternation's fairness role with provably-sound
 bounds.
 
-The kernel is reindexed by the CalColorOD order: bit ``i`` of a
-candidate set is ``order[i]``, a candidate set is a Python-int bitset,
-and a child's candidates are one ``&`` with the branch vertex's
-neighbour bitset (BBMC: San Segundo et al., Comput. Oper. Res. 2011).
+The ``ColoredGraph`` kernel is reindexed by the CalColorOD order: bit
+``i`` of a candidate set is ``order[i]``, a candidate set is a
+Python-int bitset, and a child's candidates are one ``&`` with the
+branch vertex's neighbour bitset (BBMC: San Segundo et al., Comput.
+Oper. Res. 2011). The bitsets are built from the kernel's edge arrays,
+one ``uint64`` word row per vertex, turned into ints by ``int.from_bytes``.
 Every node splits its candidates P into classes of pairwise
 non-adjacent vertices, each with a bound on the fair cliques through
 that class, and expands the classes from the highest bound down,
@@ -33,8 +35,9 @@ Tomita & Kameda, J. Glob. Optim. 2007):
   hence 5–9: 7 ≤ 5, 8 ≤ 6, and the corrected 9 is min(7, 8).
 
 A root adds only a combo's extra bound (Lemmas 10–14), on the root's
-subgraph — the paper applies the expensive bounds "when selecting
-vertices to be added to R for the first time" (§VI-B).
+subgraph, a ``LocalGraph`` that keeps the kernel's coloring — the paper
+applies the expensive bounds "when selecting vertices to be added to R
+for the first time" (§VI-B).
 
 Fairness is checked at *every* node (it is not monotone: extending a
 fair clique can break the δ balance), so the maximum is never missed.
@@ -45,11 +48,12 @@ import operator
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 from repro.core.bounds import check_combo, compute_ub
 from repro.core.order import cal_color_od
-
-ATTR_A = "a"
 
 
 @dataclass
@@ -71,9 +75,10 @@ class SearchResult:
 class _State:
     """The bitset kernel and the incumbent of one search.
 
-    ``nbr[i]`` is the neighbour bitset of ``order[i]`` and ``nonadj[i]``
-    its complement without ``i``; ``amask`` holds the a-vertices (the
-    rest are b) and ``R`` the current clique as a stack of bit indices.
+    ``order[i]`` is the id of bit ``i``, ``nbr[i]`` its neighbour bitset
+    and ``nonadj[i]`` the complement without ``i``; ``amask`` holds the
+    a-vertices (the rest are b) and ``R`` the current clique as a stack
+    of bit indices.
     """
 
     order: list[int]
@@ -106,8 +111,24 @@ def check_query(k: int, delta: int, ub_combo: str, time_limit: float | None) -> 
         raise ValueError(f"time_limit must be positive or None, got {time_limit!r}")
 
 
+def _bitsets(g: ColoredGraph, order: np.ndarray) -> tuple[list[int], int]:
+    """(neighbour bitset of each vertex, a-vertex mask), bit ``i`` being
+    ``order[i]``: each vertex's row of ``uint64`` words is filled from
+    the edge arrays and read as one little-endian int."""
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(g.n)
+    p = np.concatenate([pos[g.src], pos[g.dst]])
+    q = np.concatenate([pos[g.dst], pos[g.src]])
+    words = np.zeros((g.n, g.n // 64 + 1), dtype="<u8")
+    np.bitwise_or.at(words, (p, q >> 6), np.left_shift(np.uint64(1), (q & 63).astype(np.uint64)))
+    raw, width = words.tobytes(), words.shape[1] * 8
+    nbr = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(g.n)]
+    amask = int.from_bytes(np.packbits(~g.is_b[order], bitorder="little").tobytes(), "little")
+    return nbr, amask
+
+
 def branch_search(
-    lg: LocalGraph,
+    lg: ColoredGraph,
     k: int,
     delta: int,
     *,
@@ -115,7 +136,7 @@ def branch_search(
     best_init: list[int] | None = None,
     time_limit: float | None = None,
 ) -> SearchResult:
-    """Find a maximum (k, δ)-fair clique in ``lg``.
+    """Find a maximum (k, δ)-fair clique (a list of ids) in the kernel ``lg``.
 
     ``ub_combo`` is one of ``bounds.COMBOS``: "s" is the basic framework
     of Fig. 6, the size bound only; every other combo bounds every node
@@ -133,12 +154,11 @@ def branch_search(
     if lg.n < 2 * k:  # no fair clique fits
         return SearchResult(clique=best, seconds=time.perf_counter() - t0)
     order = cal_color_od(lg)
-    pos = {v: i for i, v in enumerate(order)}
-    nbr = [sum(1 << pos[u] for u in lg.adj[v]) for v in order]
-    full = (1 << len(order)) - 1
-    amask = sum(1 << i for i, v in enumerate(order) if lg.attr[v] == ATTR_A)
+    nbr, amask = _bitsets(lg, order)
+    ids = lg.ids[order].tolist()
+    full = (1 << lg.n) - 1
     st = _State(
-        order=order,
+        order=ids,
         nbr=nbr,
         nonadj=[full ^ x ^ (1 << i) for i, x in enumerate(nbr)],
         amask=amask,
@@ -148,7 +168,9 @@ def branch_search(
         best=best,
         deadline=None if time_limit is None else t0 + time_limit,
     )
-    for i, u in enumerate(order):
+    # A combo with an extra bound applies it to each root's subgraph.
+    local = None if ub_combo in ("s", "ad") else LocalGraph.from_colored(lg)
+    for i, u in enumerate(ids):
         if st.deadline and time.perf_counter() > st.deadline:
             st.timed_out = True
             break
@@ -157,8 +179,8 @@ def branch_search(
         if 1 + later.bit_count() <= floor:
             st.roots_pruned += 1
             continue
-        if ub_combo not in ("s", "ad"):  # a combo with an extra bound
-            sub = lg.subgraph([u, *(v for v in lg.adj[u] if pos[v] > i)])
+        if local is not None:
+            sub = local.subgraph([u, *(ids[j] for j in _bit_indices(later))])
             if compute_ub(sub, delta, ub_combo) <= floor:
                 st.roots_pruned += 1
                 continue
@@ -212,6 +234,14 @@ def _expand(st: _State, na: int, nb: int, P: int) -> None:
             if st.timed_out:
                 return
             floor = max(len(st.best), 2 * k - 1)
+
+
+def _bit_indices(x: int):
+    """The indices of the set bits of ``x``, highest first."""
+    while x:
+        j = x.bit_length() - 1
+        yield j
+        x ^= 1 << j
 
 
 def _singletons(P: int, r: int, floor: int) -> list[tuple[int, int]]:

@@ -13,101 +13,104 @@ ColorfulDegHeur, keeps the larger clique, and reports the number of
 colors the residual graph keeps from G's coloring as a global upper
 bound (Lemma 7; a subgraph inherits its graph's coloring).
 
-Both run in O(|V| + |E|) on the driver-side kernel.
+Everything runs on the ``ColoredGraph`` kernel's arrays: the candidates
+are a boolean mask over labels, narrowed by each chosen vertex's CSR
+neighbours, and a best candidate is an argmax of the scores, so ties go
+to the lowest label, which is the lowest id. Cliques are returned as ids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graph.local import LocalGraph
-from repro.core.order import colorful_dmin_per_vertex
+import numpy as np
 
-ATTR_A = "a"
-ATTR_B = "b"
-
-
-def _other(attr: str) -> str:
-    return ATTR_B if attr == ATTR_A else ATTR_A
+from repro.graph.coloring import ColoredGraph
+from repro.core.order import colorful_dmin
 
 
-def _greedy(lg: LocalGraph, k: int, delta: int, score: dict[int, float]) -> list[int]:
+def _greedy(g: ColoredGraph, k: int, delta: int, score: np.ndarray) -> list[int]:
     """Shared greedy core of DegHeur / ColorfulDegHeur (Algorithm 5)."""
-    if not lg.adj:
+    if not g.n:
         return []
-    v0 = max(lg.adj, key=lambda v: (score[v], -v))
-    R = [v0]
-    cnt = {ATTR_A: 0, ATTR_B: 0}
-    cnt[lg.attr[v0]] += 1
-    C = set(lg.adj[v0])
-    attr_choose = _other(lg.attr[v0])
+    start, nbr = g.neighbours()
+    is_b = g.is_b
+
+    def narrow(C: np.ndarray, v: int) -> np.ndarray:
+        keep = np.zeros(g.n, dtype=bool)
+        keep[nbr[start[v]:start[v + 1]]] = True
+        return C & keep
+
+    v = int(score.argmax())
+    R = [v]
+    cnt = [0, 0]  # a-, b-vertices in R
+    cnt[int(is_b[v])] += 1
+    C = narrow(np.ones(g.n, dtype=bool), v)
+    choose_b = not is_b[v]
     a_max: int | None = None
-    while C:
+    while C.any():
         if a_max is not None:
             # Lines 12–13: cap both attribute counts at a_max.
-            for x in (ATTR_A, ATTR_B):
-                if cnt[x] >= a_max:
-                    C = {v for v in C if lg.attr[v] != x}
-            if not C:
+            for side in (False, True):
+                if cnt[side] >= a_max:
+                    C &= is_b != side
+            if not C.any():
                 break
-        cand = [v for v in C if lg.attr[v] == attr_choose]
-        if not cand:
+        cand = C & (is_b == choose_b)
+        if not cand.any():
             # Lines 9–11 & 16–18: fix a_max on first exhaustion, switch.
             if a_max is None:
-                a_max = cnt[attr_choose] + delta
-            attr_choose = _other(attr_choose)
-            if not any(lg.attr[v] == attr_choose for v in C):
+                a_max = cnt[choose_b] + delta
+            choose_b = not choose_b
+            if not (C & (is_b == choose_b)).any():
                 break
             continue
-        v = max(cand, key=lambda u: (score[u], -u))
+        v = int(np.where(cand, score, -1).argmax())
         R.append(v)
-        cnt[lg.attr[v]] += 1
-        C &= lg.adj[v]
-        attr_choose = _other(lg.attr[v])
-    na, nb = cnt[ATTR_A], cnt[ATTR_B]
+        cnt[int(is_b[v])] += 1
+        C = narrow(C, v)
+        choose_b = not is_b[v]
+    na, nb = cnt
     if na >= k and nb >= k and abs(na - nb) <= delta:
-        return R
+        return g.ids[R].tolist()
     return []
 
 
-def deg_heur(lg: LocalGraph, k: int, delta: int) -> list[int]:
+def deg_heur(g: ColoredGraph, k: int, delta: int) -> list[int]:
     """Algorithm 5: degree-based greedy fair clique ([] if it fails)."""
-    score = {v: float(len(lg.adj[v])) for v in lg.adj}
-    return _greedy(lg, k, delta, score)
+    return _greedy(g, k, delta, g.degrees())
 
 
-def colorful_deg_heur(lg: LocalGraph, k: int, delta: int) -> list[int]:
+def colorful_deg_heur(g: ColoredGraph, k: int, delta: int) -> list[int]:
     """ColorfulDegHeur: greedy by min colorful degree ([] if it fails)."""
-    score = {v: float(d) for v, d in colorful_dmin_per_vertex(lg).items()}
-    return _greedy(lg, k, delta, score)
+    return _greedy(g, k, delta, colorful_dmin(g))
 
 
 @dataclass
 class HeurResult:
-    """HeurRFC output: clique, color-count upper bound, pruned graph."""
+    """HeurRFC output: clique (ids), color-count upper bound, pruned graph."""
 
     clique: list[int]
     ub: int
-    graph: LocalGraph
+    graph: ColoredGraph
 
     @property
     def size(self) -> int:
         return len(self.clique)
 
 
-def heur_rfc(lg: LocalGraph, k: int, delta: int) -> HeurResult:
+def heur_rfc(g: ColoredGraph, k: int, delta: int) -> HeurResult:
     """Algorithm 6: combined heuristic framework.
 
     The returned ``graph`` is the (|R*|−1)-core of the input; any larger
     fair clique must live inside it, so MaxRFC can search it instead of
     the full kernel.
     """
-    g = lg
     best = deg_heur(g, k, delta)
     if best:
         g = g.k_core(len(best) - 1)
-    r2 = colorful_deg_heur(g, k, delta) if g.adj else []
+    r2 = colorful_deg_heur(g, k, delta)
     if len(r2) > len(best):
         best = r2
         g = g.k_core(len(best) - 1)
-    ub = len(set(g.color.values()))
+    ub = len(np.unique(g.color))
     return HeurResult(clique=best, ub=max(ub, len(best)), graph=g)

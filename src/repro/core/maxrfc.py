@@ -3,13 +3,18 @@ search on the driver.
 
 ``max_rfc`` wires the pieces together:
 
-1. collect G from Spark once and color it greedily on the driver;
+1. collect G from Spark once (the vertex and edge jobs overlap) and
+   color it greedily on the driver;
 2. the reductions EnColorfulCore(k−1) → EnColorfulSup(k) (Algorithm 2,
    lines 1–3, without its ColorfulSup, which cannot change the kernel),
-   batch-peeled with numpy, giving the kernel as a colored ``LocalGraph``;
+   batch-peeled with numpy, giving the kernel as a ``ColoredGraph``;
 3. optionally HeurRFC to seed the incumbent and pre-prune the kernel to
    the (|R*|−1)-core (the paper's Remark in §V);
 4. branch-and-bound with the configured Table-II upper-bound combo.
+
+Steps 3–4 run on the kernel's arrays, CalColorOD and the search's
+bitsets included; only a combo with an extra root bound builds a
+``LocalGraph``, for its per-root subgraphs.
 
 ``max_rfc_local`` is the search-only variant (steps 3–4) used by unit
 tests and, on a kernel cached by ``repro.bench_harness``, by the
@@ -21,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.graph.builder import AttributedGraph
-from repro.graph.local import LocalGraph
+from repro.graph.coloring import ColoredGraph
 from repro.core.branch import SearchResult, branch_search, check_query
 from repro.core.heuristic import heur_rfc
 from repro.core.reduction import ReductionReport, reduce_pipeline
@@ -45,7 +50,7 @@ class MaxRFCResult:
 
 
 def max_rfc_local(
-    lg: LocalGraph,
+    lg: ColoredGraph,
     k: int,
     delta: int,
     *,
@@ -53,7 +58,7 @@ def max_rfc_local(
     use_heuristic: bool = True,
     time_limit: float | None = None,
 ) -> MaxRFCResult:
-    """MaxRFC on an in-memory kernel (steps 3–4 of the pipeline)."""
+    """MaxRFC on an in-memory colored kernel (steps 3–4 of the pipeline)."""
     check_query(k, delta, ub_combo, time_limit)
     timings: dict[str, float] = {}
     heur_clique: list[int] = []

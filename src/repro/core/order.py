@@ -7,81 +7,87 @@ removal sequence is the ordering. The running maximum of the removal
 values is the **colorful degeneracy** (Def. 9), and per-vertex colorful
 core numbers (Def. 8) follow the standard generalized-peeling argument
 (D_min is monotone under vertex removal).
+
+The peel runs on a ``ColoredGraph``'s arrays: a per-vertex count of
+neighbours per (attribute, color), D_a and D_b as the number of nonzero
+a- and b-counts, and an argmin over D_min per removal, so ties go to the
+lowest label, which is the lowest id (the order of ``core/reference.py``'s
+dict-and-heap ``colorful_peel``, the oracle it is tested against). The
+degeneracy alone (``colorful_degeneracy``, the ub_cd root bound) needs
+no order and is peeled in batch rounds instead.
 """
 from __future__ import annotations
 
-import heapq
+import numpy as np
 
-from repro.graph.local import LocalGraph
+from repro.graph.coloring import ColoredGraph
 
 
-def colorful_peel(lg: LocalGraph) -> tuple[list[int], dict[int, int], int]:
-    """Peel by min colorful degree.
+def _neighbour_counts(g: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cnt, key, d_a, d_b): ``cnt[v, key[u]]`` counts v's neighbours with
+    u's (attribute, color), and d_a / d_b are v's colorful degrees."""
+    colors = int(g.color.max(initial=-1)) + 1
+    key = g.is_b * colors + g.color
+    flat = np.concatenate([g.src * 2 * colors + key[g.dst], g.dst * 2 * colors + key[g.src]])
+    cnt = np.bincount(flat, minlength=g.n * 2 * colors).reshape(g.n, 2 * colors)
+    present = cnt > 0
+    return cnt, key, present[:, :colors].sum(axis=1), present[:, colors:].sum(axis=1)
 
-    Returns (removal order, ccore numbers per vertex, colorful degeneracy)
-    under ``lg``'s own coloring.
+
+def colorful_dmin(g: ColoredGraph) -> np.ndarray:
+    """D_min(v) = min(D_a, D_b) for every label (Def. 2 / Def. 10)."""
+    _, _, d_a, d_b = _neighbour_counts(g)
+    return np.minimum(d_a, d_b)
+
+
+def colorful_peel(g: ColoredGraph) -> tuple[np.ndarray, np.ndarray, int]:
+    """Peel by min colorful degree, lowest label first among ties.
+
+    Returns (removal order as labels, colorful core number per label,
+    colorful degeneracy) under ``g``'s own coloring.
     """
-    # Per-vertex multiset of neighbor (attr, color) pairs and distinct
-    # color counts per attribute.
-    cnt: dict[int, dict[tuple[str, int], int]] = {}
-    d: dict[int, dict[str, int]] = {}
-    for v, nbrs in lg.adj.items():
-        c: dict[tuple[str, int], int] = {}
-        for u in nbrs:
-            key = (lg.attr[u], lg.color[u])
-            c[key] = c.get(key, 0) + 1
-        cnt[v] = c
-        d[v] = {
-            "a": len({col for (at, col) in c if at == "a"}),
-            "b": len({col for (at, col) in c if at == "b"}),
-        }
-
-    def dmin(v: int) -> int:
-        return min(d[v]["a"], d[v]["b"])
-
-    heap = [(dmin(v), v) for v in lg.adj]
-    heapq.heapify(heap)
-    alive = set(lg.adj)
-    order: list[int] = []
-    ccore: dict[int, int] = {}
+    cnt, key, d_a, d_b = _neighbour_counts(g)
+    start, nbr = g.neighbours()
+    dmin = np.minimum(d_a, d_b)
+    gone = np.iinfo(dmin.dtype).max  # D_min of a removed vertex
+    order = np.empty(g.n, dtype=np.int64)
+    ccore = np.empty(g.n, dtype=np.int64)
     running = 0
-    while heap:
-        val, v = heapq.heappop(heap)
-        if v not in alive or val != dmin(v):
-            continue  # stale heap entry
-        alive.discard(v)
-        running = max(running, val)
-        ccore[v] = running
-        order.append(v)
-        key = (lg.attr[v], lg.color[v])
-        for u in lg.adj[v]:
-            if u not in alive:
-                continue
-            cnt[u][key] -= 1
-            if cnt[u][key] == 0:
-                del cnt[u][key]
-                d[u][key[0]] -= 1
-                heapq.heappush(heap, (dmin(u), u))
-    degeneracy = max(ccore.values(), default=0)
-    return order, ccore, degeneracy
+    for i in range(g.n):
+        v = int(dmin.argmin())
+        running = max(running, int(dmin[v]))
+        order[i], ccore[v], dmin[v] = v, running, gone
+        u = nbr[start[v]:start[v + 1]]
+        u = u[dmin[u] != gone]
+        left = cnt[u, key[v]] - 1
+        cnt[u, key[v]] = left
+        u = u[left == 0]  # lost their last neighbour of v's (attribute, color)
+        if len(u):
+            (d_b if g.is_b[v] else d_a)[u] -= 1
+            dmin[u] = np.minimum(d_a[u], d_b[u])
+    return order, ccore, running
 
 
-def cal_color_od(lg: LocalGraph) -> list[int]:
+def cal_color_od(g: ColoredGraph) -> np.ndarray:
     """CalColorOD: the colorful-core peeling order used for root vertices."""
-    order, _, _ = colorful_peel(lg)
+    order, _, _ = colorful_peel(g)
     return order
 
 
-def colorful_degeneracy(lg: LocalGraph) -> int:
-    """Colorful degeneracy (Def. 9): max colorful core number."""
-    _, _, deg = colorful_peel(lg)
-    return deg
+def colorful_degeneracy(g: ColoredGraph) -> int:
+    """Colorful degeneracy (Def. 9): the largest t whose colorful t-core
+    is nonempty, the same number as ``colorful_peel``'s.
 
-
-def colorful_dmin_per_vertex(lg: LocalGraph) -> dict[int, int]:
-    """D_min(v) = min(D_a, D_b) for every vertex (Def. 2 / Def. 10)."""
-    out: dict[int, int] = {}
-    for v, nbrs in lg.adj.items():
-        c_a, c_b, c_m = lg.color_groups(nbrs)
-        out[v] = min(c_a, c_b) + c_m
-    return out
+    Peeled in batches: each round drops every vertex whose D_min is at
+    most the largest D_min minimum seen so far. Such a vertex is in no
+    colorful core above that minimum (D_min only falls as vertices go),
+    and each round's minimum lies in a colorful core, so the largest
+    minimum is the degeneracy. A round is a handful of array passes, so
+    the few rounds a small graph needs cost less than its n removals.
+    """
+    best = 0
+    while g.n:
+        dmin = colorful_dmin(g)
+        best = max(best, int(dmin.min()))
+        g = g.induced(dmin > best)
+    return best

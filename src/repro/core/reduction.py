@@ -32,7 +32,6 @@ import pandas as pd
 
 from repro.graph.builder import AttributedGraph
 from repro.graph.coloring import ColoredGraph, color_graph_local
-from repro.graph.local import LocalGraph
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 #: Vertex pairs looked up at once when listing triangles. It bounds one
@@ -171,7 +170,7 @@ class ReductionReport:
     """The colored kernel and per-stage (n, m, seconds) from the
     Algorithm-2 reduction pipeline."""
 
-    graph: LocalGraph
+    graph: ColoredGraph
     stages: list[tuple[str, int, int, float]] = field(default_factory=list)
 
     def stage_dict(self) -> dict[str, tuple[int, int]]:
@@ -184,7 +183,7 @@ def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
     G is collected and colored once (``color_graph_local``; its time is the
     ``original`` row's), and every stage peels that coloring (a proper
     coloring stays proper on subgraphs, DESIGN.md §3.3.4). Returns the
-    kernel as a colored ``LocalGraph`` and per-stage (n, m, seconds).
+    colored kernel and per-stage (n, m, seconds).
     """
     t0 = time.perf_counter()
     cur = color_graph_local(g)
@@ -197,4 +196,4 @@ def reduce_pipeline(g: AttributedGraph, k: int) -> ReductionReport:
         t0 = time.perf_counter()
         cur = peel(cur)
         stages.append((name, cur.n, cur.m, time.perf_counter() - t0))
-    return ReductionReport(graph=LocalGraph.from_pandas(*cur.frames()), stages=stages)
+    return ReductionReport(graph=cur, stages=stages)

@@ -1,12 +1,17 @@
-"""Sequential reference implementations — oracles for the reductions.
+"""Sequential reference implementations — oracles for the reductions
+and for CalColorOD.
 
 These mirror the paper's definitions directly over a ``LocalGraph``
 (python sets, one element at a time), so tests can assert that the
 vectorised batch-peeling implementations in ``core/reduction.py``
-compute exactly the same maximal subgraphs. Not used by the production
-pipeline.
+compute exactly the same maximal subgraphs, and that ``core/order.py``'s
+array peel gives the order, colorful core numbers and colorful
+degeneracy of the dict-and-heap ``colorful_peel`` here. Not used by the
+production pipeline.
 """
 from __future__ import annotations
+
+import heapq
 
 from repro.graph.local import LocalGraph
 
@@ -114,3 +119,53 @@ def reference_sup_peel(
                 changed = True
                 break
     return edges
+
+
+def colorful_peel(lg: LocalGraph) -> tuple[list[int], dict[int, int], int]:
+    """Peel by min colorful degree with a heap of (D_min, id).
+
+    Returns (removal order, colorful core number per vertex, colorful
+    degeneracy) under ``lg``'s own coloring.
+    """
+    # Per-vertex multiset of neighbor (attr, color) pairs and distinct
+    # color counts per attribute.
+    cnt: dict[int, dict[tuple[str, int], int]] = {}
+    d: dict[int, dict[str, int]] = {}
+    for v, nbrs in lg.adj.items():
+        c: dict[tuple[str, int], int] = {}
+        for u in nbrs:
+            key = (lg.attr[u], lg.color[u])
+            c[key] = c.get(key, 0) + 1
+        cnt[v] = c
+        d[v] = {
+            ATTR_A: len({col for (at, col) in c if at == ATTR_A}),
+            ATTR_B: len({col for (at, col) in c if at == ATTR_B}),
+        }
+
+    def dmin(v: int) -> int:
+        return min(d[v][ATTR_A], d[v][ATTR_B])
+
+    heap = [(dmin(v), v) for v in lg.adj]
+    heapq.heapify(heap)
+    alive = set(lg.adj)
+    order: list[int] = []
+    ccore: dict[int, int] = {}
+    running = 0
+    while heap:
+        val, v = heapq.heappop(heap)
+        if v not in alive or val != dmin(v):
+            continue  # stale heap entry
+        alive.discard(v)
+        running = max(running, val)
+        ccore[v] = running
+        order.append(v)
+        key = (lg.attr[v], lg.color[v])
+        for u in lg.adj[v]:
+            if u not in alive:
+                continue
+            cnt[u][key] -= 1
+            if cnt[u][key] == 0:
+                del cnt[u][key]
+                d[u][key[0]] -= 1
+                heapq.heappush(heap, (dmin(u), u))
+    return order, ccore, running

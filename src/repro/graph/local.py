@@ -1,24 +1,25 @@
-"""Driver-side kernel graph.
+"""Driver-side adjacency-set graph, for the extra root bounds and the oracles.
 
-After the reductions the surviving graph is small (the paper's Pokec
-kernel is 55K edges from 44.6M). The branch-and-bound search, the
-heuristics, and the per-branch upper bounds are inherently sequential,
-so they run on this adjacency-set representation, which
-``reduce_pipeline`` builds once from the colored kernel.
+``max_rfc``'s kernel is a ``ColoredGraph`` (numpy arrays) from the
+collect to the search. A ``LocalGraph`` serves two uses only: the
+per-root subgraph that a Table-II combo with an extra bound (Lemmas
+10–14) bounds, and the sequential oracles (``core/baseline.py``,
+``core/reference.py``) the tests check the array code against.
 
 A ``LocalGraph`` is colored once, when it is built, and every subgraph
 keeps that coloring: a proper coloring stays proper on any induced
-subgraph, so the kernel carries G's coloring to HeurRFC, CalColorOD,
-the search and the root bounds, and none of them recolors.
+subgraph, so a root's subgraph carries G's coloring and none of the
+bounds recolors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 
 from repro.graph.builder import check_frames
-from repro.graph.coloring import sequential_greedy
+from repro.graph.coloring import ColoredGraph, sequential_greedy
 
 ATTR_A = "a"
 ATTR_B = "b"
@@ -59,6 +60,15 @@ class LocalGraph:
         if any(color[u] == color[v] for u in adj for v in adj[u]):
             raise ValueError("vertex colors must differ on every edge")
         return cls(adj=adj, attr=attr, color=color)
+
+    @classmethod
+    def from_colored(cls, g: ColoredGraph) -> "LocalGraph":
+        """The colored graph ``g`` with its coloring, keyed by id."""
+        start, nbr = g.neighbours()
+        ids, nbr_ids = g.ids.tolist(), g.ids[nbr].tolist()
+        adj = {v: set(nbr_ids[start[i]:start[i + 1]]) for i, v in enumerate(ids)}
+        attr = dict(zip(ids, np.where(g.is_b, ATTR_B, ATTR_A).tolist()))
+        return cls(adj=adj, attr=attr, color=dict(zip(ids, g.color.tolist())))
 
     # -- basics --------------------------------------------------------
     @property
@@ -110,23 +120,20 @@ class LocalGraph:
             na >= k and nb >= k and abs(na - nb) <= delta and self.is_clique(vs)
         )
 
-    # -- classic structure metrics -------------------------------------
-    def k_core(self, k: int) -> "LocalGraph":
-        """Maximal subgraph with min degree ≥ k (peeling)."""
-        deg = {v: len(s) for v, s in self.adj.items()}
-        stack = [v for v, d in deg.items() if d < k]
-        dead = set(stack)
-        while stack:
-            v = stack.pop()
-            for u in self.adj[v]:
-                if u in dead:
-                    continue
-                deg[u] -= 1
-                if deg[u] < k:
-                    dead.add(u)
-                    stack.append(u)
-        return self.subgraph(set(self.adj) - dead)
+    def colored(self) -> ColoredGraph:
+        """The same graph and coloring as a ``ColoredGraph``."""
+        vs = sorted(self.adj)
+        n = len(vs)
+        ids = np.array(vs, dtype=np.int64)
+        deg = [len(self.adj[v]) for v in vs]
+        src = np.repeat(np.arange(n), deg)
+        dst = np.searchsorted(ids, np.fromiter((u for v in vs for u in self.adj[v]), np.int64, sum(deg)))
+        src, dst = np.divmod(np.sort((src * n + dst)[src < dst]), max(n, 1))
+        is_b = np.array([self.attr[v] == ATTR_B for v in vs], dtype=bool)
+        color = np.array([self.color[v] for v in vs], dtype=np.int64)
+        return ColoredGraph(ids, is_b, color, src, dst)
 
+    # -- classic structure metrics -------------------------------------
     def degeneracy(self) -> int:
         """Max core number: min-degree peeling with bucket queue."""
         if not self.adj:

@@ -6,17 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import gen
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 from repro.core.baseline import brute_force_size
 from repro.core.bounds import COMBOS
 from repro.core.branch import branch_search
 from repro.core.heuristic import heur_rfc
 from repro.core.maxrfc import max_rfc_local
+from repro.core.reduction import colorful_sup_reduce, en_colorful_core
 
 
 def _lg(n, p, seed, p_a=0.5):
     v, e = gen.random_attributed_graph(n, p, seed=seed, p_a=p_a)
-    return LocalGraph.from_pandas(v, e)
+    return ColoredGraph.from_pandas(v, e)
+
+
+def _oracle(g):
+    """The kernel ``g`` as the oracles' ``LocalGraph``, same coloring."""
+    return LocalGraph.from_pandas(*g.frames())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -25,9 +32,9 @@ def test_search_matches_brute_force(seed, k, delta):
     lg = _lg(20, 0.5, seed)
     res = branch_search(lg, k, delta, ub_combo="ad")
     assert res.completed
-    assert len(res.clique) == brute_force_size(lg, k, delta)
+    assert len(res.clique) == brute_force_size(_oracle(lg), k, delta)
     if res.clique:
-        assert lg.is_fair_clique(res.clique, k, delta)
+        assert _oracle(lg).is_fair_clique(res.clique, k, delta)
 
 
 def test_dense_gnp_search_tree_pinned():
@@ -38,11 +45,40 @@ def test_dense_gnp_search_tree_pinned():
     assert (res.search.nodes, res.size) == (21_304, 11)
 
 
+#: The benchmark's kernels: (frames, k, δ) → HeurRFC's (size, ub, core m)
+#: and the search's (nodes, size). dense_gnp's reductions remove nothing,
+#: so its kernel is G; the analogues' kernels are reduced on the driver
+#: as ``reduce_pipeline`` reduces them after the collect.
+BENCHMARK_KERNELS = {
+    "gnp-seed0": (lambda: gen.random_attributed_graph(240, 0.5, seed=0), 3, 2,
+                  (8, 40, 14_322), (21_304, 11)),
+    "gnp-seed97": (lambda: gen.random_attributed_graph(240, 0.5, seed=97), 3, 2,
+                   (8, 40, 14_447), (28_114, 11)),
+    "aminer": (lambda: gen.DATASETS["aminer"](scale=1.0), 6, 4, (19, 23, 696), (54, 20)),
+    "google": (lambda: gen.DATASETS["google"](scale=1.0), 7, 4, (26, 30, 1_491), (67, 27)),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_KERNELS)
+def test_benchmark_kernel_heuristic_and_tree_pinned(name):
+    """HeurRFC's clique size, bound and core, and the default search's
+    tree, on each benchmark kernel: a kernel-representation change that
+    keeps the heuristic and the tree keeps these numbers."""
+    frames, k, delta, heur, tree = BENCHMARK_KERNELS[name]
+    g = ColoredGraph.from_pandas(*frames())
+    g = colorful_sup_reduce(en_colorful_core(g, k - 1), k, enhanced=True)
+    h = heur_rfc(g, k, delta)
+    assert (h.size, h.ub, h.graph.m) == heur
+    assert _oracle(g).is_fair_clique(h.clique, k, delta)
+    res = max_rfc_local(g, k, delta)
+    assert (res.search.nodes, res.size) == tree
+
+
 @pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("seed", range(4))
 def test_all_ub_combos_agree(combo, seed):
     lg = _lg(22, 0.45, seed)
-    expect = brute_force_size(lg, 2, 1)
+    expect = brute_force_size(_oracle(lg), 2, 1)
     res = branch_search(lg, 2, 1, ub_combo=combo)
     assert len(res.clique) == expect, f"combo={combo}"
 
@@ -71,7 +107,7 @@ def test_heuristic_seed_preserves_optimum():
     h = heur_rfc(lg, k, delta)
     res = branch_search(h.graph if h.clique else lg, k, delta,
                         ub_combo="ad+cp", best_init=h.clique)
-    assert len(res.clique) == brute_force_size(lg, k, delta)
+    assert len(res.clique) == brute_force_size(_oracle(lg), k, delta)
 
 
 def test_unfair_best_init_rejected():
@@ -79,7 +115,7 @@ def test_unfair_best_init_rejected():
     with a ValueError (an assert would vanish under ``python -O``)."""
     v = pd.DataFrame({"id": range(4), "attr": ["a", "a", "b", "b"]})
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    lg = ColoredGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
     assert sorted(branch_search(lg, 2, 0, best_init=[0, 1, 2, 3]).clique) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         branch_search(lg, 2, 0, best_init=[0, 1, 2])  # 2a + 1b: not (2, 0)-fair
@@ -89,9 +125,9 @@ def test_planted_answer_found_exactly():
     v, e = gen.random_attributed_graph(60, 0.08, seed=11)
     edges = set(zip(e["src"], e["dst"]))
     gen.plant_fair_clique(edges, v, np.arange(10), cnt_a=5, seed=5)
-    lg = LocalGraph.from_pandas(v, gen._edges_frame(edges))
+    lg = ColoredGraph.from_pandas(v, gen._edges_frame(edges))
     res = branch_search(lg, 4, 1, ub_combo="ad+cd")
-    assert len(res.clique) == brute_force_size(lg, 4, 1) >= 10
+    assert len(res.clique) == brute_force_size(_oracle(lg), 4, 1) >= 10
 
 
 def test_unbalanced_planted_clique_trimmed():
@@ -99,16 +135,16 @@ def test_unbalanced_planted_clique_trimmed():
     must trim rather than return the 12-clique."""
     v = pd.DataFrame({"id": range(12), "attr": ["a"] * 9 + ["b"] * 3})
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
-    lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    lg = ColoredGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
     res = branch_search(lg, 3, 1, ub_combo="ad")
     assert len(res.clique) == 7
-    assert lg.is_fair_clique(res.clique, 3, 1)
+    assert _oracle(lg).is_fair_clique(res.clique, 3, 1)
 
 
 def test_no_fair_clique_returns_empty():
     v = pd.DataFrame({"id": range(6), "attr": ["a"] * 6})
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-    lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    lg = ColoredGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
     res = branch_search(lg, 1, 3, ub_combo="ad")
     assert res.clique == []
 
@@ -130,7 +166,7 @@ def test_time_limit_stops_dense_search(combo):
     for r in (res, local):
         assert r.completed is False
         assert r.seconds < 1.0
-        assert not r.clique or lg.is_fair_clique(r.clique, 3, 2)
+        assert not r.clique or _oracle(lg).is_fair_clique(r.clique, 3, 2)
 
 
 def test_paper_literal_ordering_is_incomplete():
@@ -141,7 +177,8 @@ def test_paper_literal_ordering_is_incomplete():
     # Clique {a1, a2, b1, b2} where the total order is a1<a2<b1<b2.
     v = pd.DataFrame({"id": [0, 1, 2, 3], "attr": ["a", "a", "b", "b"]})
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    g = ColoredGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    lg = _oracle(g)
     order = [0, 1, 2, 3]
     pos = {u: i for i, u in enumerate(order)}
 
@@ -162,7 +199,7 @@ def test_paper_literal_ordering_is_incomplete():
 
     literal([], order, "a")
     assert max((len(r) for r in found), default=0) < 4  # literal misses K4
-    res = branch_search(lg, 2, 0, ub_combo="ad")
+    res = branch_search(g, 2, 0, ub_combo="ad")
     assert len(res.clique) == 4  # ours finds it
 
 
@@ -177,7 +214,7 @@ def test_paper_literal_ordering_is_incomplete():
 def test_search_equals_brute_force_property(n, p, seed, k, delta):
     lg = _lg(n, p, seed)
     res = branch_search(lg, k, delta, ub_combo="ad+cp")
-    assert len(res.clique) == brute_force_size(lg, k, delta)
+    assert len(res.clique) == brute_force_size(_oracle(lg), k, delta)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -196,5 +233,5 @@ def test_search_with_incumbent_equals_brute_force_property(n, p, seed, k, delta,
     h = heur_rfc(lg, k, delta)
     res = branch_search(h.graph, k, delta, ub_combo=combo, best_init=h.clique)
     assert res.completed
-    assert len(res.clique) == brute_force_size(lg, k, delta)
-    assert not res.clique or lg.is_fair_clique(res.clique, k, delta)
+    assert len(res.clique) == brute_force_size(_oracle(lg), k, delta)
+    assert not res.clique or _oracle(lg).is_fair_clique(res.clique, k, delta)

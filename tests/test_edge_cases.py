@@ -46,7 +46,8 @@ def test_backends_agree_on_degenerate_input(spark, case):
     v, e, k, delta = CASES[case]
     lg = LocalGraph.from_pandas(v, e)
     want = brute_force_size(lg, k, delta)
-    for res in (max_rfc_local(lg, k, delta), max_rfc(from_pandas(spark, v, e), k, delta)):
+    kernel = ColoredGraph.from_pandas(v, e)
+    for res in (max_rfc_local(kernel, k, delta), max_rfc(from_pandas(spark, v, e), k, delta)):
         assert res.size == want
         assert not res.clique or lg.is_fair_clique(res.clique, k, delta)
 
@@ -68,7 +69,7 @@ def attributed_graphs(draw, max_n=9):
        use_heuristic=st.booleans())
 def test_driver_search_matches_brute_force(frames, k, delta, use_heuristic):
     lg = LocalGraph.from_pandas(*frames)
-    res = max_rfc_local(lg, k, delta, use_heuristic=use_heuristic)
+    res = max_rfc_local(ColoredGraph.from_pandas(*frames), k, delta, use_heuristic=use_heuristic)
     assert res.size == brute_force_size(lg, k, delta)
     assert not res.clique or lg.is_fair_clique(res.clique, k, delta)
 
@@ -119,6 +120,7 @@ def test_spark_pipeline_matches_driver_and_brute_force(spark, frames, k, delta):
     lift, ``max_rfc_local`` and brute force give one size."""
     lg = LocalGraph.from_pandas(*frames)
     want = brute_force_size(lg, k, delta)
-    for res in (max_rfc_local(lg, k, delta), max_rfc(from_pandas(spark, *frames), k, delta)):
+    kernel = ColoredGraph.from_pandas(*frames)
+    for res in (max_rfc_local(kernel, k, delta), max_rfc(from_pandas(spark, *frames), k, delta)):
         assert res.size == want
         assert not res.clique or lg.is_fair_clique(res.clique, k, delta)

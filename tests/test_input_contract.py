@@ -8,6 +8,7 @@ import pytest
 
 from repro.graph import gen
 from repro.graph.builder import from_pandas
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
@@ -17,10 +18,12 @@ V = pd.DataFrame({"id": [0, 1, 2, 3], "attr": ["a", "b", "a", "b"]})
 E = pd.DataFrame({"src": [0, 0, 1, 2], "dst": [1, 2, 2, 3]})
 
 
-@pytest.fixture(params=["local", "spark"])
+@pytest.fixture(params=["local", "kernel", "spark"])
 def lift(request):
     if request.param == "local":
         return LocalGraph.from_pandas
+    if request.param == "kernel":
+        return ColoredGraph.from_pandas
     spark = request.getfixturevalue("spark")
     return lambda v, e: from_pandas(spark, v, e)
 
@@ -69,7 +72,7 @@ def test_bad_k_or_delta_rejected(spark, k, delta):
         max_rfc(g, k, delta)
     assert jobs.nextJobId() == before
     with pytest.raises(ValueError, match="k >= 1 and delta >= 0"):
-        max_rfc_local(LocalGraph.from_pandas(V, E), k, delta)
+        max_rfc_local(ColoredGraph.from_pandas(V, E), k, delta)
 
 
 def test_unknown_ub_combo_rejected(spark):
@@ -81,8 +84,8 @@ def test_unknown_ub_combo_rejected(spark):
     with pytest.raises(ValueError, match="unknown bound combo"):
         max_rfc(g, 1, 0, ub_combo="bogus")
     assert jobs.nextJobId() == before
-    sparse = LocalGraph.from_pandas(*gen.random_attributed_graph(12, 0.3, seed=1))
-    for lg, k in ((LocalGraph.from_pandas(V, E), 1), (sparse, 3)):
+    sparse = ColoredGraph.from_pandas(*gen.random_attributed_graph(12, 0.3, seed=1))
+    for lg, k in ((ColoredGraph.from_pandas(V, E), 1), (sparse, 3)):
         with pytest.raises(ValueError, match="unknown bound combo"):
             max_rfc_local(lg, k, 0, ub_combo="bogus")
         with pytest.raises(ValueError, match="unknown bound combo"):
@@ -99,7 +102,7 @@ def test_nonpositive_time_limit_rejected(spark, time_limit):
     with pytest.raises(ValueError, match="time_limit"):
         max_rfc(g, 1, 1, time_limit=time_limit)
     assert jobs.nextJobId() == before
-    lg = LocalGraph.from_pandas(V, E)
+    lg = ColoredGraph.from_pandas(V, E)
     for search in (max_rfc_local, branch_search):
         with pytest.raises(ValueError, match="time_limit"):
             search(lg, 1, 1, time_limit=time_limit)
@@ -116,7 +119,7 @@ def test_non_integral_k_or_delta_rejected(spark, k, delta):
     with pytest.raises(TypeError, match="integers"):
         max_rfc(g, k, delta)
     assert jobs.nextJobId() == before
-    lg = LocalGraph.from_pandas(V, E)
+    lg = ColoredGraph.from_pandas(V, E)
     for search in (max_rfc_local, branch_search):
         with pytest.raises(TypeError, match="integers"):
             search(lg, k, delta)

@@ -1,10 +1,12 @@
-"""Tests for the driver-side LocalGraph substrate."""
+"""Tests for the driver-side graph substrates: the adjacency-set
+``LocalGraph``, the ``ColoredGraph`` kernel's k-core and clique check,
+and the conversions between the two."""
 import pandas as pd
 import pytest
 
 from repro.core import bounds, reference
 from repro.graph import gen
-from repro.graph.coloring import sequential_greedy
+from repro.graph.coloring import ColoredGraph, sequential_greedy
 from repro.graph.local import LocalGraph, h_index
 
 
@@ -98,9 +100,10 @@ def test_recolor_matches_sequential_greedy():
 
 
 def test_k_core_min_degree():
-    """The core has min degree ≥ k and keeps the input's coloring."""
+    """The kernel's core has min degree ≥ k and keeps the input's coloring."""
     lg = _lg(n=50, p=0.15, seed=5)
-    core = lg.k_core(3)
+    g = lg.colored()
+    core = LocalGraph.from_pandas(*g.k_core(3).frames())
     assert core.n > 0
     for v in core.adj:
         assert len(core.adj[v]) >= 3
@@ -120,16 +123,19 @@ def test_k_core_is_maximal_against_reference():
                     adj[u].discard(v)
                 del adj[v]
                 changed = True
-    assert set(lg.k_core(3).adj) == set(adj)
+    core = lg.colored().k_core(3)
+    assert set(core.ids.tolist()) == set(adj)
+    assert {tuple(uv) for uv in core.frames()[1].to_numpy().tolist()} == {
+        (u, v) for u in adj for v in adj[u] if u < v}
 
 
 def test_k_core_of_clique():
     v = pd.DataFrame({"id": range(6), "attr": ["a"] * 6})
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     e = pd.DataFrame(pairs, columns=["src", "dst"])
-    lg = LocalGraph.from_pandas(v, e)
-    assert set(lg.k_core(5).adj) == set(range(6))
-    assert lg.k_core(6).n == 0
+    g = ColoredGraph.from_pandas(v, e)
+    assert set(g.k_core(5).ids.tolist()) == set(range(6))
+    assert g.k_core(6).n == 0
 
 
 def test_degeneracy_path_and_clique():
@@ -160,4 +166,33 @@ def test_empty_graph():
     )
     assert lg.n == 0 and lg.m == 0
     assert lg.degeneracy() == 0
-    assert lg.k_core(1).n == 0
+    assert lg.colored().k_core(1).n == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_colored_round_trips_graph_and_coloring(seed):
+    """``LocalGraph.colored`` keeps vertices, attributes, edges and colors,
+    and both the kernel's frames and ``LocalGraph.from_colored`` give the
+    same ``LocalGraph`` back."""
+    lg = _lg(n=25, p=0.3, seed=seed)
+    for back in (LocalGraph.from_pandas(*lg.colored().frames()), LocalGraph.from_colored(lg.colored())):
+        assert (back.adj, back.attr, back.color) == (lg.adj, lg.attr, lg.color)
+
+
+def test_colored_graph_fair_clique():
+    """``ColoredGraph.is_fair_clique`` agrees with ``LocalGraph``'s, and
+    sets with an id outside the graph or a repeated id are not cliques."""
+    for seed in range(4):
+        lg = _lg(n=12, p=0.6, seed=seed)
+        g = lg.colored()
+        ids = sorted(lg.adj)
+        for size in (2, 3, 4):
+            for start in range(len(ids) - size):
+                verts = ids[start:start + size]
+                for k, delta in ((1, 0), (1, 1), (2, 1)):
+                    assert g.is_fair_clique(verts, k, delta) == lg.is_fair_clique(verts, k, delta)
+    fair = next(c for c in ([u, v] for u in ids for v in lg.adj[u]) if lg.is_fair_clique(c, 1, 0))
+    assert g.is_fair_clique(fair, 1, 0)
+    assert not g.is_fair_clique(fair + [max(ids) + 1], 1, 1)
+    assert not g.is_fair_clique(fair + [min(ids) - 1], 1, 1)
+    assert not g.is_fair_clique(fair + fair[:1], 1, 1)

@@ -77,7 +77,7 @@ def test_apply_local_stage_chain_preserves_optimum(graphs):
     lifted, _, lg = graphs(n=26, p=0.45, seed=3)
     k, delta = 2, 1
     opt = brute_force_size(lg, k, delta)
-    red = reduce_pipeline(lifted, k).graph
+    red = LocalGraph.from_pandas(*reduce_pipeline(lifted, k).graph.frames())
     assert brute_force_size(red, k, delta) == opt
     # Fixpoint: the reference EnColorfulSup peel removes nothing more.
     edges = {(u, v) for u in red.adj for v in red.adj[u] if u < v}

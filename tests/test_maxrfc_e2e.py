@@ -4,6 +4,7 @@ import pytest
 
 from repro.graph import gen
 from repro.graph.builder import from_pandas
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 from repro.core.baseline import brute_force_size
 from repro.core.maxrfc import max_rfc, max_rfc_local
@@ -82,8 +83,9 @@ def test_bench_kernel_is_max_rfc_path(spark):
     v, e = gen.DATASETS["aminer"](scale=0.25)
     red = max_rfc(from_pandas(spark, v, e).checkpointed(), 4, 2).reduction
     assert [s[:3] for s in kern.stages] == [s[:3] for s in red.stages]
-    assert kern.graph.adj == red.graph.adj  # vertices and edges
-    assert kern.graph.color == red.graph.color
+    for field in ("ids", "src", "dst"):  # vertices and edges
+        assert np.array_equal(getattr(kern.graph, field), getattr(red.graph, field))
+    assert np.array_equal(kern.graph.color, red.graph.color)
 
 
 def test_max_rfc_runs_at_most_two_spark_jobs(spark):
@@ -102,7 +104,7 @@ def test_max_rfc_runs_at_most_two_spark_jobs(spark):
 
 def test_heuristic_seed_never_worse_locally(spark):
     v, e = gen.DATASETS["flixster"](scale=0.25)
-    lg = LocalGraph.from_pandas(v, e)
+    lg = ColoredGraph.from_pandas(v, e)
     with_h = max_rfc_local(lg, 2, 1, use_heuristic=True)
     without = max_rfc_local(lg, 2, 1, use_heuristic=False)
     assert with_h.size == without.size

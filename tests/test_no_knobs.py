@@ -2,15 +2,21 @@
 against a second code path for one decision."""
 import inspect
 import re
+import threading
 from pathlib import Path
 
+import pandas as pd
+import pytest
+
 import repro
-from repro.core import bounds, branch
+from repro.core import bounds, branch, order, reference
 from repro.core.baseline import brute_force_size
 from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
 from repro.core.reduction import reduce_pipeline
 from repro.graph import coloring, gen, local
+from repro.graph.builder import AttributedGraph
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 
 
@@ -56,8 +62,9 @@ def test_ub_ad_has_one_implementation(monkeypatch):
     not come back, so under "s" and "ad" no root calls ``compute_ub``,
     while a combo with an extra root bound still does."""
     assert not hasattr(bounds, "ub_advanced")
-    lg = LocalGraph.from_pandas(*gen.random_attributed_graph(30, 0.5, seed=3))
-    expect = brute_force_size(lg, 2, 1)
+    frames = gen.random_attributed_graph(30, 0.5, seed=3)
+    lg = ColoredGraph.from_pandas(*frames)
+    expect = brute_force_size(LocalGraph.from_pandas(*frames), 2, 1)
 
     def refuse(*args):
         raise AssertionError("compute_ub called under a combo without an extra bound")
@@ -73,14 +80,15 @@ def test_ub_ad_has_one_implementation(monkeypatch):
 
 
 def test_kernel_is_colored_once(monkeypatch):
-    """A ``LocalGraph`` is colored when it is built and every subgraph
-    keeps that coloring: no lazy recoloring may come back, and with the
-    greedy coloring made to raise, every combo, with and without
-    HeurRFC, still finds the maximum on a colored kernel."""
+    """A graph is colored when it is built and every subgraph keeps that
+    coloring: no lazy recoloring may come back, and with the greedy
+    coloring made to raise, every combo, with and without HeurRFC, still
+    finds the maximum on a colored kernel."""
     assert not hasattr(LocalGraph, "ensure_colors")
     assert not hasattr(LocalGraph, "recolor")
-    lg = LocalGraph.from_pandas(*gen.random_attributed_graph(30, 0.5, seed=3))
-    expect = brute_force_size(lg, 2, 1)
+    frames = gen.random_attributed_graph(30, 0.5, seed=3)
+    lg = ColoredGraph.from_pandas(*frames)
+    expect = brute_force_size(LocalGraph.from_pandas(*frames), 2, 1)
     assert expect > 0
 
     def refuse(adj):
@@ -92,3 +100,73 @@ def test_kernel_is_colored_once(monkeypatch):
         for use_heuristic in (True, False):
             res = max_rfc_local(lg, 2, 1, ub_combo=combo, use_heuristic=use_heuristic)
             assert res.search.completed and res.size == expect
+
+
+def test_default_path_builds_no_local_graph(monkeypatch):
+    """``max_rfc``'s default path runs on the ``ColoredGraph`` kernel from
+    the collect to the search: with ``LocalGraph`` construction and the
+    dict-and-heap peel (now only the oracle) made to raise, "s" and "ad",
+    with and without HeurRFC, still find the maximum."""
+    assert not hasattr(order, "heapq")  # no second CalColorOD in the pipeline
+    frames = gen.random_attributed_graph(30, 0.5, seed=3)
+    expect = brute_force_size(LocalGraph.from_pandas(*frames), 2, 1)
+    assert expect > 0
+    kernel = ColoredGraph.from_pandas(*frames)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default path built a LocalGraph or ran the dict peel")
+
+    monkeypatch.setattr(LocalGraph, "__init__", refuse)
+    monkeypatch.setattr(reference, "colorful_peel", refuse)
+    for combo in ("s", "ad"):
+        for use_heuristic in (True, False):
+            res = max_rfc_local(kernel, 2, 1, ub_combo=combo, use_heuristic=use_heuristic)
+            assert res.search.completed and res.size == expect
+
+
+class _Frame:
+    """A stand-in Spark frame: ``toPandas`` runs ``before``, then raises
+    ``error`` or returns ``frame``."""
+
+    def __init__(self, frame=None, error=None, before=None):
+        self.frame, self.error, self.before = frame, error, before
+        self.waited = None
+
+    def select(self, *cols):
+        return self
+
+    def toPandas(self):
+        if self.before is not None:
+            self.waited = self.before()
+        if self.error is not None:
+            raise self.error
+        return self.frame
+
+
+_V = pd.DataFrame({"id": [0, 1, 2], "attr": ["a", "b", "a"]})
+_E = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+
+
+def test_collect_reraises_and_joins_its_thread():
+    """A failure of either collect job is re-raised, and no thread the
+    collect started outlives it, on failure or success."""
+    start = threading.active_count()
+    for failing in ("vertices", "edges"):
+        frames = {"vertices": _Frame(_V), "edges": _Frame(_E)}
+        frames[failing] = _Frame(error=RuntimeError(f"{failing} job failed"))
+        with pytest.raises(RuntimeError, match=f"{failing} job failed"):
+            coloring.color_graph_local(AttributedGraph(**frames))
+        assert threading.active_count() == start
+    g = coloring.color_graph_local(AttributedGraph(_Frame(_V), _Frame(_E)))
+    assert (g.n, g.m) == (3, 2)
+    assert threading.active_count() == start
+
+
+def test_collect_runs_both_jobs_at_once():
+    """The vertex job waits until the edge job has started: the two
+    overlap, as one extra thread submits the edge job."""
+    edge_started = threading.Event()
+    vertices = _Frame(_V, before=lambda: edge_started.wait(30))
+    edges = _Frame(_E, before=edge_started.set)
+    coloring.color_graph_local(AttributedGraph(vertices, edges))
+    assert vertices.waited is True

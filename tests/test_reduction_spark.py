@@ -131,7 +131,7 @@ def test_reduction_preserves_optimum(spark, dense_graph, k, delta):
     g, v, e, lg = dense_graph
     opt = brute_force_size(lg, k, delta)
     red = reduce_pipeline(from_pandas(spark, v, e), k).graph
-    assert brute_force_size(red, k, delta) == opt
+    assert brute_force_size(LocalGraph.from_pandas(*red.frames()), k, delta) == opt
 
 
 def test_pipeline_monotone_shrink(spark, dense_graph):
