@@ -14,8 +14,9 @@ run in.
 
 A cell's time is that configuration's heuristic + search
 (``sum(res.timings.values())``): for a combo with an extra root bound
-it includes building the ``LocalGraph`` its root subgraphs are cut
-from, which ``max_rfc`` pays per call too. The reduction time is reported once
+it includes cutting each root's subgraph from the kernel (for all but
+``"ad+cd"``, from a ``LocalGraph`` of it built once per search), which
+``max_rfc`` pays per call too. The reduction time is reported once
 per (dataset, k) from ``report.stages``, split by ``reduce_seconds``
 into the collect + coloring and the peels. The first reduction of a
 session also carries the session's one-off collect cost.

@@ -1,9 +1,11 @@
 """Upper bounds on MRFC(R, C) — the max fair-clique size in a branch.
 
 Implements the paper's full bound family (Lemmas 5–14). Each bound takes
-the induced ``LocalGraph`` of R ∪ C, which keeps G's coloring (the
-paper recolors G' per branch; DESIGN.md §3.3.4), and returns an integer
-upper bound on the size of any (k, δ)-fair clique inside it.
+the induced subgraph of R ∪ C, which keeps G's coloring (the paper
+recolors G' per branch; DESIGN.md §3.3.4), and returns an integer upper
+bound on the size of any (k, δ)-fair clique inside it: ub_cd takes it
+as a ``ColoredGraph`` and peels its arrays, every other bound as a
+``LocalGraph``.
 
 ub_AD (Lemmas 5–9) is computed only by the search's per-node coloring
 (``branch._classes``); the Lemma 5–9 functions here are its tested
@@ -20,6 +22,7 @@ Soundness adjustments vs. the printed lemmas (DESIGN.md §3.3):
 """
 from __future__ import annotations
 
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph, h_index
 from repro.core.order import colorful_degeneracy
 
@@ -91,7 +94,7 @@ def ub_h_index(sub: LocalGraph) -> int:
 
 # -- Lemmas 12–14: colorful structural bounds --------------------------
 
-def ub_colorful_degeneracy(sub: LocalGraph, delta: int) -> int:
+def ub_colorful_degeneracy(sub: ColoredGraph, delta: int) -> int:
     """Lemma 12 (sound form).
 
     Every vertex of a fair clique with counts (x_a, x_b) has colorful
@@ -99,7 +102,7 @@ def ub_colorful_degeneracy(sub: LocalGraph, delta: int) -> int:
     size ≤ 2·(colorful degeneracy + 1) + δ. The degeneracy is peeled
     on ``sub``'s arrays, with its (G's) coloring.
     """
-    return min(sub.n, 2 * (colorful_degeneracy(sub.colored()) + 1) + delta)
+    return min(sub.n, 2 * (colorful_degeneracy(sub) + 1) + delta)
 
 
 def ub_colorful_h(sub: LocalGraph, delta: int) -> int:
@@ -132,9 +135,11 @@ def ub_colorful_path(sub: LocalGraph) -> int:
     return best
 
 
-def compute_ub(sub: LocalGraph, delta: int, combo: str) -> int:
-    """A combo's extra root bound on the branch subgraph (ub_△, ub_h,
-    ub_cd, ub_ch or ub_cp); ub_size for "s" and "ad", which have none."""
+def compute_ub(sub: ColoredGraph | LocalGraph, delta: int, combo: str) -> int:
+    """A combo's extra root bound on the branch subgraph ``sub`` (ub_△,
+    ub_h, ub_cd, ub_ch or ub_cp); ub_size for "s" and "ad", which have
+    none. ``sub`` is a ``ColoredGraph`` for ub_cd, which peels its
+    arrays, and a ``LocalGraph`` for the others."""
     if combo in ("s", "ad"):
         return ub_size(sub)
     extra = combo.partition("+")[2]

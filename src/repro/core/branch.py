@@ -35,9 +35,11 @@ Tomita & Kameda, J. Glob. Optim. 2007):
   hence 5–9: 7 ≤ 5, 8 ≤ 6, and the corrected 9 is min(7, 8).
 
 A root adds only a combo's extra bound (Lemmas 10–14), on the root's
-subgraph, a ``LocalGraph`` that keeps the kernel's coloring — the paper
-applies the expensive bounds "when selecting vertices to be added to R
-for the first time" (§VI-B).
+subgraph with the kernel's coloring — the paper applies the expensive
+bounds "when selecting vertices to be added to R for the first time"
+(§VI-B). ub_cd peels that subgraph as the kernel's induced
+``ColoredGraph``; the other extra bounds read it from a ``LocalGraph``
+of the kernel, built once per search.
 
 Fairness is checked at *every* node (it is not monotone: extending a
 fair clique can break the δ balance), so the maximum is never missed.
@@ -169,8 +171,13 @@ def branch_search(
         deadline=None if time_limit is None else t0 + time_limit,
     )
     # A combo with an extra bound applies it to each root's subgraph.
-    local = None if ub_combo in ("s", "ad") else LocalGraph.from_colored(lg)
-    for i, u in enumerate(ids):
+    extra = ub_combo.partition("+")[2]
+    if extra:
+        start, adj = lg.neighbours()
+        pos = np.empty(lg.n, dtype=np.int64)
+        pos[order] = np.arange(lg.n)
+        local = None if extra == "cd" else LocalGraph.from_colored(lg)
+    for i in range(lg.n):
         if st.deadline and time.perf_counter() > st.deadline:
             st.timed_out = True
             break
@@ -179,8 +186,12 @@ def branch_search(
         if 1 + later.bit_count() <= floor:
             st.roots_pruned += 1
             continue
-        if local is not None:
-            sub = local.subgraph([u, *(ids[j] for j in _bit_indices(later))])
+        if extra:  # the root and its neighbours later in the order
+            row = adj[start[order[i]]:start[order[i] + 1]]
+            keep = np.zeros(lg.n, dtype=bool)
+            keep[row[pos[row] > i]] = True
+            keep[order[i]] = True
+            sub = lg.induced(keep) if local is None else local.subgraph(lg.ids[keep].tolist())
             if compute_ub(sub, delta, ub_combo) <= floor:
                 st.roots_pruned += 1
                 continue
@@ -234,14 +245,6 @@ def _expand(st: _State, na: int, nb: int, P: int) -> None:
             if st.timed_out:
                 return
             floor = max(len(st.best), 2 * k - 1)
-
-
-def _bit_indices(x: int):
-    """The indices of the set bits of ``x``, highest first."""
-    while x:
-        j = x.bit_length() - 1
-        yield j
-        x ^= 1 << j
 
 
 def _singletons(P: int, r: int, floor: int) -> list[tuple[int, int]]:

@@ -12,9 +12,10 @@ search on the driver.
    the (|R*|−1)-core (the paper's Remark in §V);
 4. branch-and-bound with the configured Table-II upper-bound combo.
 
-Steps 3–4 run on the kernel's arrays, CalColorOD and the search's
-bitsets included; only a combo with an extra root bound builds a
-``LocalGraph``, for its per-root subgraphs.
+Steps 3–4 run on the kernel's arrays, CalColorOD, the search's bitsets
+and ub_cd's per-root peel included; only the combos with ub_△, ub_h,
+ub_ch or ub_cp as their extra root bound build a ``LocalGraph``, for
+their per-root subgraphs.
 
 ``max_rfc_local`` is the search-only variant (steps 3–4) used by unit
 tests and, on a kernel cached by ``repro.bench_harness``, by the

@@ -13,8 +13,8 @@ neighbours per (attribute, color), D_a and D_b as the number of nonzero
 a- and b-counts, and an argmin over D_min per removal, so ties go to the
 lowest label, which is the lowest id (the order of ``core/reference.py``'s
 dict-and-heap ``colorful_peel``, the oracle it is tested against). The
-degeneracy alone (``colorful_degeneracy``, the ub_cd root bound) needs
-no order and is peeled in batch rounds instead.
+argmin makes a removal O(n); DESIGN.md §3.2 records the kernel sizes
+this was measured at against a lazy-heap peel.
 """
 from __future__ import annotations
 
@@ -76,18 +76,5 @@ def cal_color_od(g: ColoredGraph) -> np.ndarray:
 
 def colorful_degeneracy(g: ColoredGraph) -> int:
     """Colorful degeneracy (Def. 9): the largest t whose colorful t-core
-    is nonempty, the same number as ``colorful_peel``'s.
-
-    Peeled in batches: each round drops every vertex whose D_min is at
-    most the largest D_min minimum seen so far. Such a vertex is in no
-    colorful core above that minimum (D_min only falls as vertices go),
-    and each round's minimum lies in a colorful core, so the largest
-    minimum is the degeneracy. A round is a handful of array passes, so
-    the few rounds a small graph needs cost less than its n removals.
-    """
-    best = 0
-    while g.n:
-        dmin = colorful_dmin(g)
-        best = max(best, int(dmin.min()))
-        g = g.induced(dmin > best)
-    return best
+    is nonempty."""
+    return colorful_peel(g)[2]

@@ -2,9 +2,11 @@
 
 ``max_rfc``'s kernel is a ``ColoredGraph`` (numpy arrays) from the
 collect to the search. A ``LocalGraph`` serves two uses only: the
-per-root subgraph that a Table-II combo with an extra bound (Lemmas
-10–14) bounds, and the sequential oracles (``core/baseline.py``,
-``core/reference.py``) the tests check the array code against.
+per-root subgraphs that a Table-II combo with an extra bound other than
+ub_cd (Lemmas 10–11, 13–14) bounds, cut from one ``from_colored`` copy
+of the kernel per search, and the sequential oracles
+(``core/baseline.py``, ``core/reference.py``) the tests check the array
+code against.
 
 A ``LocalGraph`` is colored once, when it is built, and every subgraph
 keeps that coloring: a proper coloring stays proper on any induced
@@ -119,19 +121,6 @@ class LocalGraph:
         return (
             na >= k and nb >= k and abs(na - nb) <= delta and self.is_clique(vs)
         )
-
-    def colored(self) -> ColoredGraph:
-        """The same graph and coloring as a ``ColoredGraph``."""
-        vs = sorted(self.adj)
-        n = len(vs)
-        ids = np.array(vs, dtype=np.int64)
-        deg = [len(self.adj[v]) for v in vs]
-        src = np.repeat(np.arange(n), deg)
-        dst = np.searchsorted(ids, np.fromiter((u for v in vs for u in self.adj[v]), np.int64, sum(deg)))
-        src, dst = np.divmod(np.sort((src * n + dst)[src < dst]), max(n, 1))
-        is_b = np.array([self.attr[v] == ATTR_B for v in vs], dtype=bool)
-        color = np.array([self.color[v] for v in vs], dtype=np.int64)
-        return ColoredGraph(ids, is_b, color, src, dst)
 
     # -- classic structure metrics -------------------------------------
     def degeneracy(self) -> int:

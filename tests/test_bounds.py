@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import gen
+from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 from repro.core import bounds
 from repro.core.baseline import brute_force_size
@@ -18,7 +19,16 @@ def _lg(n, p, seed, p_a=0.5):
     return lg
 
 
-def _all_bounds(lg, delta):
+def _kernel(n, p, seed, p_a=0.5):
+    """The ``_lg`` graph as a kernel, with the same (greedy) coloring."""
+    v, e = gen.random_attributed_graph(n, p, seed=seed, p_a=p_a)
+    return ColoredGraph.from_pandas(v, e)
+
+
+def _all_bounds(g, delta):
+    """Every bound of the kernel ``g``: ub_cd on its arrays, the rest on
+    its ``LocalGraph``."""
+    lg = LocalGraph.from_colored(g)
     return {
         "s": bounds.ub_size(lg),
         "a": bounds.ub_attr(lg, delta),
@@ -27,7 +37,7 @@ def _all_bounds(lg, delta):
         "eac": bounds.ub_en_attr_color(lg, delta),
         "deg": bounds.ub_degeneracy(lg),
         "h": bounds.ub_h_index(lg),
-        "cd": bounds.ub_colorful_degeneracy(lg, delta),
+        "cd": bounds.ub_colorful_degeneracy(g, delta),
         "ch": bounds.ub_colorful_h(lg, delta),
         "cp": bounds.ub_colorful_path(lg),
     }
@@ -37,8 +47,9 @@ def _all_bounds(lg, delta):
 @pytest.mark.parametrize("delta", DELTAS)
 def test_every_bound_dominates_optimum(seed, delta):
     """Soundness: each ub ≥ brute-force max fair clique size, all k."""
-    lg = _lg(22, 0.5, seed)
-    ubs = _all_bounds(lg, delta)
+    g = _kernel(22, 0.5, seed)
+    lg = LocalGraph.from_colored(g)
+    ubs = _all_bounds(g, delta)
     for k in (1, 2, 3):
         opt = brute_force_size(lg, k, delta)
         for name, ub in ubs.items():
@@ -48,9 +59,8 @@ def test_every_bound_dominates_optimum(seed, delta):
 @pytest.mark.parametrize("seed", range(5))
 def test_bound_orderings(seed):
     """Known dominance relations between bounds."""
-    lg = _lg(25, 0.4, seed)
     delta = 2
-    u = _all_bounds(lg, delta)
+    u = _all_bounds(_kernel(25, 0.4, seed), delta)
     assert u["c"] <= u["s"]
     assert u["a"] <= u["s"] + delta
     assert u["ac"] <= 2 * u["c"]  # per-attr colors ≤ total colors each
@@ -125,17 +135,17 @@ def test_ub_on_empty_graph():
 
 @pytest.mark.parametrize("combo", bounds.COMBOS)
 def test_compute_ub_combos(combo):
-    lg = _lg(20, 0.4, seed=1)
-    ub = bounds.compute_ub(lg, 2, combo)
+    g = _kernel(20, 0.4, seed=1)
+    lg = LocalGraph.from_colored(g)
+    ub = bounds.compute_ub(g if combo == "ad+cd" else lg, 2, combo)
     assert ub >= brute_force_size(lg, 2, 2)
     if combo != "s":
         assert ub <= bounds.ub_size(lg)
 
 
 def test_compute_ub_rejects_unknown():
-    lg = _lg(5, 0.5, seed=0)
     with pytest.raises(ValueError):
-        bounds.compute_ub(lg, 1, "ad+nope")
+        bounds.compute_ub(_kernel(5, 0.5, seed=0), 1, "ad+nope")
 
 
 @settings(max_examples=30, deadline=None)
@@ -148,9 +158,9 @@ def test_compute_ub_rejects_unknown():
 )
 def test_bounds_sound_property(n, p, seed, delta, k):
     """Property-based soundness sweep over random instances."""
-    lg = _lg(n, p, seed)
-    opt = brute_force_size(lg, k, delta)
-    for name, ub in _all_bounds(lg, delta).items():
+    g = _kernel(n, p, seed)
+    opt = brute_force_size(LocalGraph.from_colored(g), k, delta)
+    for name, ub in _all_bounds(g, delta).items():
         assert ub >= opt, f"ub_{name} unsound on n={n} p={p} seed={seed}"
 
 
@@ -167,7 +177,6 @@ def test_ub_eac_is_ub_ad_property(n, p, p_a, seed, delta):
     Lemmas 5 and 6, so ub_eac alone equals ub_AD = min(Lemmas 5–9): the
     per-node coloring bound of the search, min(ub_c, ub_ac) over its
     classes, is all of ub_AD."""
-    lg = _lg(n, p, seed, p_a)
-    u = _all_bounds(lg, delta)
+    u = _all_bounds(_kernel(n, p, seed, p_a), delta)
     assert u["eac"] == min(u["c"], u["ac"])
     assert u["eac"] <= min(u["s"], u["a"])

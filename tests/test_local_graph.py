@@ -15,6 +15,12 @@ def _lg(n=30, p=0.3, seed=0, p_a=0.5):
     return LocalGraph.from_pandas(v, e)
 
 
+def _kernel(n=30, p=0.3, seed=0, p_a=0.5):
+    """The ``_lg`` graph as a ``ColoredGraph``; both color it greedily."""
+    v, e = gen.random_attributed_graph(n, p, seed=seed, p_a=p_a)
+    return ColoredGraph.from_pandas(v, e)
+
+
 def _path(n):
     v = pd.DataFrame({"id": range(n), "attr": (["a", "b"] * (n // 2 + 1))[:n]})
     e = pd.DataFrame({"src": range(n - 1), "dst": range(1, n)})
@@ -102,8 +108,7 @@ def test_recolor_matches_sequential_greedy():
 def test_k_core_min_degree():
     """The kernel's core has min degree ≥ k and keeps the input's coloring."""
     lg = _lg(n=50, p=0.15, seed=5)
-    g = lg.colored()
-    core = LocalGraph.from_pandas(*g.k_core(3).frames())
+    core = LocalGraph.from_pandas(*_kernel(n=50, p=0.15, seed=5).k_core(3).frames())
     assert core.n > 0
     for v in core.adj:
         assert len(core.adj[v]) >= 3
@@ -123,7 +128,7 @@ def test_k_core_is_maximal_against_reference():
                     adj[u].discard(v)
                 del adj[v]
                 changed = True
-    core = lg.colored().k_core(3)
+    core = _kernel(n=40, p=0.2, seed=6).k_core(3)
     assert set(core.ids.tolist()) == set(adj)
     assert {tuple(uv) for uv in core.frames()[1].to_numpy().tolist()} == {
         (u, v) for u in adj for v in adj[u] if u < v}
@@ -166,16 +171,19 @@ def test_empty_graph():
     )
     assert lg.n == 0 and lg.m == 0
     assert lg.degeneracy() == 0
-    assert lg.colored().k_core(1).n == 0
+    assert ColoredGraph.from_pandas(
+        pd.DataFrame({"id": [], "attr": []}), pd.DataFrame({"src": [], "dst": []})
+    ).k_core(1).n == 0
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_colored_round_trips_graph_and_coloring(seed):
-    """``LocalGraph.colored`` keeps vertices, attributes, edges and colors,
-    and both the kernel's frames and ``LocalGraph.from_colored`` give the
-    same ``LocalGraph`` back."""
+    """The kernel of a pair of frames, read back through its frames or
+    through ``LocalGraph.from_colored``, is the ``LocalGraph`` of the same
+    frames: vertices, attributes, edges and colors."""
     lg = _lg(n=25, p=0.3, seed=seed)
-    for back in (LocalGraph.from_pandas(*lg.colored().frames()), LocalGraph.from_colored(lg.colored())):
+    g = _kernel(n=25, p=0.3, seed=seed)
+    for back in (LocalGraph.from_pandas(*g.frames()), LocalGraph.from_colored(g)):
         assert (back.adj, back.attr, back.color) == (lg.adj, lg.attr, lg.color)
 
 
@@ -184,7 +192,7 @@ def test_colored_graph_fair_clique():
     sets with an id outside the graph or a repeated id are not cliques."""
     for seed in range(4):
         lg = _lg(n=12, p=0.6, seed=seed)
-        g = lg.colored()
+        g = _kernel(n=12, p=0.6, seed=seed)
         ids = sorted(lg.adj)
         for size in (2, 3, 4):
             for start in range(len(ids) - size):

@@ -106,7 +106,8 @@ def test_default_path_builds_no_local_graph(monkeypatch):
     """``max_rfc``'s default path runs on the ``ColoredGraph`` kernel from
     the collect to the search: with ``LocalGraph`` construction and the
     dict-and-heap peel (now only the oracle) made to raise, "s" and "ad",
-    with and without HeurRFC, still find the maximum."""
+    with and without HeurRFC, still find the maximum, and so does
+    "ad+cd", whose root bound peels the root's subgraph as arrays."""
     assert not hasattr(order, "heapq")  # no second CalColorOD in the pipeline
     frames = gen.random_attributed_graph(30, 0.5, seed=3)
     expect = brute_force_size(LocalGraph.from_pandas(*frames), 2, 1)
@@ -118,7 +119,7 @@ def test_default_path_builds_no_local_graph(monkeypatch):
 
     monkeypatch.setattr(LocalGraph, "__init__", refuse)
     monkeypatch.setattr(reference, "colorful_peel", refuse)
-    for combo in ("s", "ad"):
+    for combo in ("s", "ad", "ad+cd"):
         for use_heuristic in (True, False):
             res = max_rfc_local(kernel, 2, 1, ub_combo=combo, use_heuristic=use_heuristic)
             assert res.search.completed and res.size == expect

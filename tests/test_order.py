@@ -1,6 +1,8 @@
 """Tests for colorful-core peeling (CalColorOD ordering, Def. 8–9): the
 array peel of ``core/order.py`` against the definitions and against the
 dict-and-heap oracle ``core/reference.py::colorful_peel``."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -137,10 +139,11 @@ def colored_graphs(draw, max_n=14):
 def test_array_peel_equals_reference_peel(frames):
     """On random colored graphs, ties, isolated vertices and the empty
     graph included, the array peel gives the oracle's removal order,
-    colorful core numbers and colorful degeneracy, and so does the batch
-    peel of ``colorful_degeneracy`` (the ub_cd root bound)."""
-    lg = LocalGraph.from_pandas(*frames)
-    g = lg.colored()
+    colorful core numbers and colorful degeneracy (``colorful_degeneracy``,
+    the ub_cd root bound, too)."""
+    v, e = frames
+    lg = LocalGraph.from_pandas(v, e)
+    g = replace(ColoredGraph.from_pandas(v, e), color=v.sort_values("id")["color"].to_numpy())
     order, ccore, cdeg = colorful_peel(g)
     want_order, want_ccore, want_cdeg = ref.colorful_peel(lg)
     assert g.ids[order].tolist() == want_order
