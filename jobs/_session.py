@@ -1,10 +1,12 @@
 """The one SparkSession config, shared by the spark-submit entrypoints,
 the benchmark and the test fixture (the root ``conftest.py``).
 
-Arrow on, so collecting a graph to the driver (``toPandas``) is one
-columnar transfer; 8 shuffle partitions keep the small jobs left (the
-lift's edge dedup, Table I's degrees, the DuckDB-checked test queries)
-low-latency; broadcast autojoin off so shuffle paths are exercised.
+Arrow on, so a pandas frame crosses into or out of Spark (the lift's
+``createDataFrame``, a ``toPandas``) as one columnar transfer, as the
+collect's ``toArrow`` always does; 8 shuffle partitions keep the small
+jobs left (the lift's edge dedup, Table I's degrees, the DuckDB-checked
+test queries) low-latency; broadcast autojoin off so shuffle paths are
+exercised.
 """
 from pyspark.sql import SparkSession
 

@@ -3,8 +3,9 @@ search on the driver.
 
 ``max_rfc`` wires the pieces together:
 
-1. collect G from Spark once (the vertex and edge jobs overlap) and
-   color it greedily on the driver;
+1. collect G from Spark once, as Arrow columns of its own vertex and
+   edge frames (the two jobs overlap), check the input contract on them
+   and color G greedily on its CSR arrays, on the driver;
 2. the reductions EnColorfulCore(k−1) → EnColorfulSup(k) (Algorithm 2,
    lines 1–3, without its ColorfulSup, which cannot change the kernel),
    batch-peeled with numpy, giving the kernel as a ``ColoredGraph``;

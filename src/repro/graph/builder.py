@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -47,18 +48,61 @@ def canonicalize_edges(edges: DataFrame) -> DataFrame:
     return edges.select(lo, hi).where(F.col("src") != F.col("dst")).distinct()
 
 
+def _integers(x, what: str) -> np.ndarray:
+    """``x`` as int64; ``ValueError`` on a null (NaN, None) or a fraction."""
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        return x.astype(np.int64, copy=False)
+    if pd.isna(x).any():
+        raise ValueError(f"null {what}")
+    out = x.astype(np.int64)
+    if (out != x).any():
+        raise ValueError(f"{what} must be integers")
+    return out
+
+
+def _positions(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's position in the sorted ``ids``, and the values not there."""
+    at = np.searchsorted(ids, x)
+    found = at < len(ids)
+    found[found] = ids[at[found]] == x[found]
+    return at, x[~found]
+
+
+def check_columns(ids, attr, src, dst) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The input contract on column arrays: raise ``ValueError`` unless no
+    id, attribute or endpoint is null, ids and endpoints are integers,
+    vertex ids are unique, every attribute is ``a`` or ``b`` and every
+    edge endpoint is a declared vertex. Returns ``(ids, is_b, u, v)``: the ids in ascending order,
+    whether each is a b-vertex, and each edge's endpoints as positions
+    in those ids."""
+    ids = _integers(ids, "vertex ids")
+    src, dst = _integers(src, "edge endpoints"), _integers(dst, "edge endpoints")
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if len(repeated):
+        raise ValueError(f"duplicate vertex ids: {np.unique(repeated)[:5].tolist()}")
+    attr = np.asarray(attr, dtype=object)[order]
+    is_b = attr == "b"
+    bad = attr[~is_b & (attr != "a")]
+    if len(bad):
+        if pd.isna(bad).any():
+            raise ValueError("null vertex attributes")
+        got = sorted(set(map(repr, bad)))[:5]
+        raise ValueError(f"vertex attributes must be 'a' or 'b', got {got}")
+    u, missing_u = _positions(ids, src)
+    v, missing_v = _positions(ids, dst)
+    undeclared = np.union1d(missing_u, missing_v)
+    if len(undeclared):
+        raise ValueError(f"edge endpoints that are not vertices: {undeclared[:5].tolist()}")
+    return ids, is_b, u, v
+
+
 def check_frames(vertices: pd.DataFrame, edges: pd.DataFrame) -> None:
-    """Raise ``ValueError`` unless vertex ids are unique, every attribute
-    is ``a`` or ``b``, and every edge endpoint is a declared vertex."""
-    ids = vertices["id"]
-    if ids.duplicated().any():
-        raise ValueError(f"duplicate vertex ids: {sorted(set(ids[ids.duplicated()]))[:5]}")
-    labels = set(vertices["attr"]) - {"a", "b"}
-    if labels:
-        raise ValueError(f"vertex attributes must be 'a' or 'b', got {sorted(map(repr, labels))}")
-    undeclared = set(edges["src"]).union(edges["dst"]).difference(ids)
-    if undeclared:
-        raise ValueError(f"edge endpoints that are not vertices: {sorted(undeclared)[:5]}")
+    """``check_columns`` on the ``id``/``attr`` and ``src``/``dst`` columns."""
+    check_columns(vertices["id"].to_numpy(), vertices["attr"].to_numpy(),
+                  edges["src"].to_numpy(), edges["dst"].to_numpy())
 
 
 def from_pandas(spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame) -> AttributedGraph:

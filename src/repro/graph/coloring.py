@@ -4,9 +4,12 @@ The paper's reductions and bounds all rest on a *degree-based greedy
 coloring* (its line 1 of Algorithm 1, citing [30]): process vertices in
 (degree desc, id asc) order, give each the smallest color unused by its
 already-colored neighbors. ``color_graph_local`` collects a Spark graph
-once and returns it as a ``ColoredGraph``, the numpy form the
-reductions peel and the kernel HeurRFC, CalColorOD and the search run
-on; the coloring is one of its arrays and every subgraph keeps it.
+once, as Arrow columns, and returns it as a ``ColoredGraph``, the numpy
+form the reductions peel and the kernel HeurRFC, CalColorOD and the
+search run on; ``csr_greedy`` colors it on its CSR adjacency, the
+coloring is one of its arrays and every subgraph keeps it.
+``sequential_greedy`` is the same coloring of an adjacency dict, for
+``LocalGraph`` and the oracles.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pandas as pd
 
-from repro.graph.builder import AttributedGraph, check_frames
+from repro.graph.builder import AttributedGraph, check_columns
 
 
 @dataclass(frozen=True)
@@ -32,25 +35,21 @@ class ColoredGraph:
     dst: np.ndarray
 
     @classmethod
-    def from_pandas(cls, vertices: pd.DataFrame, edges: pd.DataFrame) -> "ColoredGraph":
-        """Relabel and greedily color the frames (``ValueError`` if
-        ``check_frames`` rejects them); self loops and duplicates go."""
-        check_frames(vertices, edges)
-        order = np.argsort(vertices["id"].to_numpy(np.int64))
-        ids = vertices["id"].to_numpy(np.int64)[order]
-        is_b = vertices["attr"].to_numpy()[order] == "b"
+    def from_columns(cls, ids, attr, src, dst) -> "ColoredGraph":
+        """Relabel and greedily color a graph given as columns: vertex ids
+        and attributes, edge endpoints (``ValueError`` if ``check_columns``
+        rejects them); self loops and duplicate edges go."""
+        ids, is_b, u, v = check_columns(ids, attr, src, dst)
         n = len(ids)
-        u = np.searchsorted(ids, edges["src"].to_numpy(np.int64))
-        v = np.searchsorted(ids, edges["dst"].to_numpy(np.int64))
         src, dst = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), max(n, 1))
         src, dst = src[src != dst], dst[src != dst]
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for a, b in zip(src.tolist(), dst.tolist()):
-            adj[a].add(b)
-            adj[b].add(a)
-        greedy = sequential_greedy(adj)
-        color = np.array([greedy[i] for i in range(n)], dtype=np.int64)
-        return cls(ids, is_b, color, src, dst)
+        return cls(ids, is_b, csr_greedy(*_csr(n, src, dst)), src, dst)
+
+    @classmethod
+    def from_pandas(cls, vertices: pd.DataFrame, edges: pd.DataFrame) -> "ColoredGraph":
+        """``from_columns`` on the ``id``/``attr`` and ``src``/``dst`` columns."""
+        return cls.from_columns(vertices["id"].to_numpy(), vertices["attr"].to_numpy(),
+                                edges["src"].to_numpy(), edges["dst"].to_numpy())
 
     @property
     def n(self) -> int:
@@ -66,11 +65,7 @@ class ColoredGraph:
 
     def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency: label ``i``'s neighbours are ``nbr[start[i]:start[i + 1]]``."""
-        owner = np.concatenate([self.src, self.dst])
-        by_owner = np.argsort(owner, kind="stable")
-        start = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=self.n), out=start[1:])
-        return start, np.concatenate([self.dst, self.src])[by_owner]
+        return _csr(self.n, self.src, self.dst)
 
     def keep_edges(self, ok: np.ndarray) -> "ColoredGraph":
         """The same vertices with the edges where ``ok`` is true."""
@@ -126,16 +121,46 @@ class ColoredGraph:
         return vertices, pd.DataFrame({"src": self.ids[self.src], "dst": self.ids[self.dst]})
 
 
+def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, nbr)``: the neighbours of label ``i`` < ``n`` in the edge
+    list ``src``/``dst`` are ``nbr[start[i]:start[i + 1]]``."""
+    owner = np.concatenate([src, dst])
+    by_owner = np.argsort(owner, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    return start, np.concatenate([dst, src])[by_owner]
+
+
 def color_graph_local(g: AttributedGraph) -> ColoredGraph:
-    """Collect ``g``'s vertices and edges (one Spark job each, the edge
-    job submitted from a second thread so the two overlap) and color them;
-    the greedy order is sequential (so is the paper's C++). The thread
-    is joined before this returns or raises."""
+    """Collect ``g``'s vertices and edges as Arrow tables and color them.
+
+    ``toArrow`` runs on the graph's own frames, with no projection, so
+    each collect reuses the plans Spark keeps for them. It is one Spark
+    job each, the edge job submitted from a second thread so the two
+    overlap; the thread is joined before this returns or raises. The
+    greedy order is sequential (so is the paper's C++)."""
     with ThreadPoolExecutor(max_workers=1) as pool:
-        edges = pool.submit(g.edges.toPandas)
-        vertices = g.vertices.select("id", "attr").toPandas()
+        edges = pool.submit(g.edges.toArrow)
+        vertices = g.vertices.toArrow()
         edges = edges.result()
-    return ColoredGraph.from_pandas(vertices, edges)
+    ids, attr = (vertices.column(name).to_numpy() for name in ("id", "attr"))
+    src, dst = (edges.column(name).to_numpy() for name in ("src", "dst"))
+    return ColoredGraph.from_columns(ids, attr, src, dst)
+
+
+def csr_greedy(start: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Sequential greedy coloring of the CSR adjacency ``start``/``nbr``
+    in (degree desc, label asc) order: ``sequential_greedy`` on arrays."""
+    order = np.argsort(-np.diff(start), kind="stable")
+    first, nbr = start.tolist(), nbr.tolist()
+    color = [-1] * len(order)
+    for v in order.tolist():
+        used = {color[u] for u in nbr[first[v]:first[v + 1]]}
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    return np.array(color, dtype=np.int64)
 
 
 def sequential_greedy(adj: dict[int, set[int]]) -> dict[int, int]:

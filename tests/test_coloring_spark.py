@@ -1,11 +1,14 @@
 """Driver coloring tests: the colored vertex frame equals sequential greedy."""
+import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.oracle import assert_equivalent
 from repro.graph import gen
 from repro.graph.builder import from_pandas
-from repro.graph.coloring import color_graph_local, sequential_greedy
+from repro.graph.coloring import ColoredGraph, color_graph_local, sequential_greedy
 from repro.graph.local import LocalGraph
 
 
@@ -63,3 +66,50 @@ def test_coloring_covers_all_vertices_including_isolated(spark):
     g = from_pandas(spark, v, e)
     cp = color_graph_local(g).frames()[0]
     assert set(cp["id"]) == {0, 1, 2, 9}
+
+
+@st.composite
+def _graphs(draw, max_n=90):
+    """Vertex and edge frames on ≤ max_n vertices with sparse, negative
+    ids, edges listed in random order, some twice or reversed, a few self
+    loops; density from empty to complete (K_n needs n colors)."""
+    n = draw(st.integers(0, max_n))
+    ids = draw(st.lists(st.integers(-10**12, 10**12), min_size=n, max_size=n, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = np.triu_indices(n, 1)
+    pick = rng.random(len(lo)) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    src, dst = np.array(ids, dtype=np.int64)[lo[pick]], np.array(ids, dtype=np.int64)[hi[pick]]
+    extra = rng.integers(0, max(len(src), 1), size=len(src) // 4)
+    src, dst = np.concatenate([src, dst[extra]]), np.concatenate([dst, src[extra]])
+    if n:
+        loops = rng.choice(ids, size=2)
+        src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+    shuffle = rng.permutation(len(src))
+    v = pd.DataFrame({"id": np.array(ids, dtype=np.int64), "attr": rng.choice(["a", "b"], size=n)})
+    return v, pd.DataFrame({"src": src[shuffle], "dst": dst[shuffle]})
+
+
+_K70 = (pd.DataFrame({"id": np.arange(70) * 7 - 200, "attr": ["a", "b"] * 35}),
+        pd.DataFrame(np.array(np.triu_indices(70, 1)).T * 7 - 200, columns=["src", "dst"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(frames=_graphs())
+@example(frames=(pd.DataFrame({"id": [], "attr": []}), pd.DataFrame({"src": [], "dst": []})))
+@example(frames=(pd.DataFrame({"id": [5, -3, 9], "attr": ["a", "b", "b"]}),
+                 pd.DataFrame({"src": [], "dst": []})))
+@example(frames=_K70)
+def test_csr_greedy_equals_sequential_greedy(frames):
+    """``ColoredGraph``'s CSR greedy gives every vertex the color
+    ``sequential_greedy`` gives it on the same graph's adjacency sets: the
+    empty graph, isolated vertices, sparse and negative ids and graphs
+    needing more than 64 colors included."""
+    v, e = frames
+    g = ColoredGraph.from_pandas(v, e)
+    want = sequential_greedy(LocalGraph.from_pandas(v, e).adj)
+    assert dict(zip(g.ids.tolist(), g.color.tolist())) == want
+
+
+def test_complete_graph_takes_more_than_64_colors():
+    g = ColoredGraph.from_pandas(*_K70)
+    assert sorted(g.color.tolist()) == list(range(70))

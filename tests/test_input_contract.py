@@ -1,13 +1,14 @@
-"""Input contract: malformed frames, an improper ``color`` column,
-out-of-range (k, δ) and a non-positive time limit raise ``ValueError``,
-a non-integral k or δ ``TypeError``, at the boundary, on the driver and
-the Spark path alike."""
+"""Input contract: malformed frames (nulls included), an improper
+``color`` column, out-of-range (k, δ) and a non-positive time limit
+raise ``ValueError``, a non-integral k or δ ``TypeError``, at the
+boundary, on the driver and the Spark path alike; Spark frames that
+skipped the lift's check are rejected at the collect."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.graph import gen
-from repro.graph.builder import from_pandas
+from repro.graph.builder import AttributedGraph, from_pandas
 from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 from repro.core.branch import branch_search
@@ -42,6 +43,48 @@ def test_unknown_attribute_rejected(lift):
 def test_duplicate_vertex_id_rejected(lift):
     with pytest.raises(ValueError, match="duplicate"):
         lift(pd.concat([V, pd.DataFrame({"id": [1], "attr": ["a"]})]), E)
+
+
+@pytest.mark.parametrize("frames", [
+    (V.assign(id=[0, 1, np.nan, 3]), E),
+    (V.assign(id=pd.array([0, 1, None, 3], dtype="Int64")), E),
+    (V.assign(attr=["a", None, "a", "b"]), E),
+    (V.assign(attr=["a", "b", np.nan, "b"]), E),
+    (V, E.assign(src=[0, 0, np.nan, 2])),
+    (V, E.assign(dst=[1, 2, 2, None])),
+], ids=["nan-id", "na-id", "none-attr", "nan-attr", "nan-src", "none-dst"])
+def test_null_rejected(lift, frames):
+    """A null id, attribute or endpoint is rejected, not read as a number
+    (a NaN id used to become −9223372036854775808)."""
+    with pytest.raises(ValueError, match="null"):
+        lift(*frames)
+
+
+def test_fractional_id_rejected(lift):
+    with pytest.raises(ValueError, match="integers"):
+        lift(V.assign(id=[0, 1, 2, 3.5]), E)
+
+
+_ROWS_V = [(0, "a"), (1, "b"), (2, "a"), (3, "b")]
+_ROWS_E = [(0, 1), (0, 2), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("vertices,edges,message", [
+    (_ROWS_V + [(1, "a")], _ROWS_E, "duplicate"),
+    (_ROWS_V, _ROWS_E + [(2, 7)], "not vertices"),
+    (_ROWS_V[:3] + [(3, "c")], _ROWS_E, "'a' or 'b'"),
+    (_ROWS_V + [(None, "a")], _ROWS_E, "null"),
+    (_ROWS_V[:3] + [(3, None)], _ROWS_E, "null"),
+    (_ROWS_V, _ROWS_E + [(None, 3)], "null"),
+], ids=["duplicate", "undeclared", "attribute", "null-id", "null-attr", "null-src"])
+def test_raw_spark_frames_rejected_at_the_collect(spark, vertices, edges, message):
+    """An ``AttributedGraph`` built straight from Spark frames skips
+    ``from_pandas``'s check; ``max_rfc`` runs the same check on the
+    collected columns."""
+    g = AttributedGraph(spark.createDataFrame(vertices, "id long, attr string"),
+                        spark.createDataFrame(edges, "src long, dst long"))
+    with pytest.raises(ValueError, match=message):
+        max_rfc(g, 1, 1)
 
 
 @pytest.mark.parametrize("color", [

@@ -6,6 +6,7 @@ import threading
 from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import repro
@@ -81,9 +82,10 @@ def test_ub_ad_has_one_implementation(monkeypatch):
 
 def test_kernel_is_colored_once(monkeypatch):
     """A graph is colored when it is built and every subgraph keeps that
-    coloring: no lazy recoloring may come back, and with the greedy
-    coloring made to raise, every combo, with and without HeurRFC, still
-    finds the maximum on a colored kernel."""
+    coloring: no lazy recoloring may come back, and with both greedy
+    colorings (on CSR arrays and on adjacency dicts) made to raise, every
+    combo, with and without HeurRFC, still finds the maximum on a colored
+    kernel."""
     assert not hasattr(LocalGraph, "ensure_colors")
     assert not hasattr(LocalGraph, "recolor")
     frames = gen.random_attributed_graph(30, 0.5, seed=3)
@@ -91,11 +93,12 @@ def test_kernel_is_colored_once(monkeypatch):
     expect = brute_force_size(LocalGraph.from_pandas(*frames), 2, 1)
     assert expect > 0
 
-    def refuse(adj):
+    def refuse(*args):
         raise AssertionError("a colored kernel was recolored")
 
     monkeypatch.setattr(local, "sequential_greedy", refuse)
     monkeypatch.setattr(coloring, "sequential_greedy", refuse)
+    monkeypatch.setattr(coloring, "csr_greedy", refuse)
     for combo in bounds.COMBOS:
         for use_heuristic in (True, False):
             res = max_rfc_local(lg, 2, 1, ub_combo=combo, use_heuristic=use_heuristic)
@@ -126,17 +129,14 @@ def test_default_path_builds_no_local_graph(monkeypatch):
 
 
 class _Frame:
-    """A stand-in Spark frame: ``toPandas`` runs ``before``, then raises
-    ``error`` or returns ``frame``."""
+    """A stand-in Spark frame with no ``select``: ``toArrow`` runs
+    ``before``, then raises ``error`` or returns the Arrow table ``frame``."""
 
     def __init__(self, frame=None, error=None, before=None):
         self.frame, self.error, self.before = frame, error, before
         self.waited = None
 
-    def select(self, *cols):
-        return self
-
-    def toPandas(self):
+    def toArrow(self):
         if self.before is not None:
             self.waited = self.before()
         if self.error is not None:
@@ -144,8 +144,8 @@ class _Frame:
         return self.frame
 
 
-_V = pd.DataFrame({"id": [0, 1, 2], "attr": ["a", "b", "a"]})
-_E = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+_V = pa.table({"id": [0, 1, 2], "attr": ["a", "b", "a"]})
+_E = pa.table({"src": [0, 1], "dst": [1, 2]})
 
 
 def test_collect_reraises_and_joins_its_thread():
@@ -171,3 +171,21 @@ def test_collect_runs_both_jobs_at_once():
     edges = _Frame(_E, before=edge_started.set)
     coloring.color_graph_local(AttributedGraph(vertices, edges))
     assert vertices.waited is True
+
+
+def test_collect_builds_no_frame_and_no_adjacency_dict(monkeypatch):
+    """From the two Arrow tables to the colored ``ColoredGraph`` the
+    collect builds no pandas frame and never runs the dict coloring; its
+    coloring is that of ``from_pandas`` on the same graph."""
+    frames = gen.random_attributed_graph(40, 0.3, seed=5)
+    expect = ColoredGraph.from_pandas(*frames)
+    tables = [pa.Table.from_pandas(f, preserve_index=False) for f in frames]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the collect built a pandas frame or an adjacency dict")
+
+    monkeypatch.setattr(pd.DataFrame, "__init__", refuse)
+    monkeypatch.setattr(coloring, "sequential_greedy", refuse)
+    got = coloring.color_graph_local(AttributedGraph(*map(_Frame, tables)))
+    for name in ("ids", "is_b", "color", "src", "dst"):
+        assert (getattr(got, name) == getattr(expect, name)).all()
