@@ -1,11 +1,10 @@
 """Upper bounds on MRFC(R, C) — the max fair-clique size in a branch.
 
 Implements the paper's full bound family (Lemmas 5–14). Each bound takes
-the induced subgraph of R ∪ C, which keeps G's coloring (the paper
-recolors G' per branch; DESIGN.md §3.3.4), and returns an integer upper
-bound on the size of any (k, δ)-fair clique inside it: ub_cd takes it
-as a ``ColoredGraph`` and peels its arrays, every other bound as a
-``LocalGraph``.
+the induced subgraph of R ∪ C as a ``ColoredGraph``, which keeps G's
+coloring (the paper recolors G' per branch; DESIGN.md §3.3.4), and
+returns an integer upper bound on the size of any (k, δ)-fair clique
+inside it, computed on the subgraph's arrays.
 
 ub_AD (Lemmas 5–9) is computed only by the search's per-node coloring
 (``branch._classes``); the Lemma 5–9 functions here are its tested
@@ -22,9 +21,10 @@ Soundness adjustments vs. the printed lemmas (DESIGN.md §3.3):
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph.coloring import ColoredGraph
-from repro.graph.local import LocalGraph, h_index
-from repro.core.order import colorful_degeneracy
+from repro.core.order import colorful_degeneracy, colorful_dmin
 
 #: Table-II bound configurations: "s" (size only), "ad" (ub_AD = min of
 #: Lemmas 5–9) and "ad" plus one extra root bound (Lemmas 10–14).
@@ -44,33 +44,46 @@ def _fair_pair(x: int, y: int, delta: int) -> int:
     return 2 * min(x, y) + delta
 
 
+def h_index(values: np.ndarray) -> int:
+    """Max h with ≥ h of ``values`` at least h."""
+    return int((np.sort(values)[::-1] >= np.arange(1, len(values) + 1)).sum())
+
+
 # -- Lemma 5–9: the "advanced" group ub_AD -----------------------------
 
-def ub_size(sub: LocalGraph) -> int:
+def color_groups(sub: ColoredGraph) -> tuple[int, int, int]:
+    """(c_a, c_b, c_m): colors of ``sub`` held only by a-vertices, only by
+    b-vertices, and by both (mixed)."""
+    cols_a, cols_b = np.unique(sub.color[~sub.is_b]), np.unique(sub.color[sub.is_b])
+    c_m = len(np.intersect1d(cols_a, cols_b, assume_unique=True))
+    return len(cols_a) - c_m, len(cols_b) - c_m, c_m
+
+
+def ub_size(sub: ColoredGraph) -> int:
     """Lemma 5: |R| + |C|."""
     return sub.n
 
 
-def ub_attr(sub: LocalGraph, delta: int) -> int:
+def ub_attr(sub: ColoredGraph, delta: int) -> int:
     """Lemma 6: attribute counts with the δ balance cap."""
-    na, nb = sub.attr_counts(sub.adj)
-    return _fair_pair(na, nb, delta)
+    nb = int(sub.is_b.sum())
+    return _fair_pair(sub.n - nb, nb, delta)
 
 
-def ub_color(sub: LocalGraph) -> int:
+def ub_color(sub: ColoredGraph) -> int:
     """Lemma 7: number of colors of a greedy coloring of G'."""
-    return sum(sub.color_groups(sub.adj))
+    return sum(color_groups(sub))
 
 
-def ub_attr_color(sub: LocalGraph, delta: int) -> int:
+def ub_attr_color(sub: ColoredGraph, delta: int) -> int:
     """Lemma 8: per-attribute color counts with the δ balance cap."""
-    c_a, c_b, c_m = sub.color_groups(sub.adj)
+    c_a, c_b, c_m = color_groups(sub)
     return _fair_pair(c_a + c_m, c_b + c_m, delta)
 
 
-def ub_en_attr_color(sub: LocalGraph, delta: int) -> int:
+def ub_en_attr_color(sub: ColoredGraph, delta: int) -> int:
     """Lemma 9 (corrected form): exclusive/mixed color-group bound."""
-    return _en_attr_color(*sub.color_groups(sub.adj), delta)
+    return _en_attr_color(*color_groups(sub), delta)
 
 
 def _en_attr_color(c_a: int, c_b: int, c_m: int, delta: int) -> int:
@@ -82,14 +95,27 @@ def _en_attr_color(c_a: int, c_b: int, c_m: int, delta: int) -> int:
 
 # -- Lemmas 10–11: classic structural bounds ---------------------------
 
-def ub_degeneracy(sub: LocalGraph) -> int:
+def degeneracy(sub: ColoredGraph) -> int:
+    """Max core number, peeled in batch rounds: each round raises t to
+    the smallest live degree and drops every live vertex of degree ≤ t,
+    which no (t+1)-core holds."""
+    keep = np.ones(sub.n, dtype=bool)
+    t = 0
+    while keep.any():
+        deg = sub.live_degrees(keep)
+        t = max(t, int(deg[keep].min()))
+        keep &= deg > t
+    return t
+
+
+def ub_degeneracy(sub: ColoredGraph) -> int:
     """Lemma 10 (sound form): clique size ≤ degeneracy + 1."""
-    return min(sub.n, sub.degeneracy() + 1)
+    return min(sub.n, degeneracy(sub) + 1)
 
 
-def ub_h_index(sub: LocalGraph) -> int:
+def ub_h_index(sub: ColoredGraph) -> int:
     """Lemma 11 (sound form): clique size ≤ h-index + 1."""
-    return min(sub.n, sub.h_index() + 1)
+    return min(sub.n, h_index(sub.degrees()) + 1)
 
 
 # -- Lemmas 12–14: colorful structural bounds --------------------------
@@ -105,41 +131,41 @@ def ub_colorful_degeneracy(sub: ColoredGraph, delta: int) -> int:
     return min(sub.n, 2 * (colorful_degeneracy(sub) + 1) + delta)
 
 
-def ub_colorful_h(sub: LocalGraph, delta: int) -> int:
+def ub_colorful_h(sub: ColoredGraph, delta: int) -> int:
     """Lemma 13 (sound form): size ≤ 2·(colorful h-index + 1) + δ, over
-    every vertex's D_min = min(c_a, c_b) + c_m of its neighbours."""
-    dmins = [min(c_a, c_b) + c_m for c_a, c_b, c_m in map(sub.color_groups, sub.adj.values())]
-    return min(sub.n, 2 * (h_index(dmins) + 1) + delta)
+    every vertex's D_min = min(c_a, c_b) + c_m of its neighbours, the
+    D_min CalColorOD peels by."""
+    return min(sub.n, 2 * (h_index(colorful_dmin(sub)) + 1) + delta)
 
 
-def ub_colorful_path(sub: LocalGraph) -> int:
+def ub_colorful_path(sub: ColoredGraph) -> int:
     """Lemma 14 / Algorithm 4: longest colorful path in the color DAG.
 
-    Edges are oriented low→high by (color, id); proper coloring makes
-    every directed path strictly color-increasing, hence colorful, and
-    every clique is such a path. DP over the topological (color, id)
-    order gives the longest one in O(V + E).
+    A proper coloring orients every edge from its lower to its higher
+    color, so every directed path is strictly color-increasing, hence
+    colorful, and every clique is such a path. The longest path ending
+    at a vertex is final once every lower color is done, so one
+    ``np.maximum.at`` over the edges into each color layer, lowest
+    first, gives every vertex's.
     """
-    if not sub.adj:
-        return 0
-    verts = sorted(sub.adj, key=lambda v: (sub.color[v], v))
-    f = {v: 1 for v in verts}
-    best = 1
-    for v in verts:  # topological order of the DAG
-        kv = (sub.color[v], v)
-        for u in sub.adj[v]:
-            if (sub.color[u], u) < kv:  # edge u -> v
-                if f[u] + 1 > f[v]:
-                    f[v] = f[u] + 1
-        best = max(best, f[v])
-    return best
+    c = sub.color
+    tail = np.where(c[sub.src] < c[sub.dst], sub.src, sub.dst)
+    head = sub.src + sub.dst - tail
+    by_color = np.argsort(c[head], kind="stable")
+    tail, head = tail[by_color], head[by_color]
+    ends = np.append(np.flatnonzero(np.diff(c[head])) + 1, len(head)).tolist()
+    f = np.ones(sub.n, dtype=np.int64)
+    a = 0
+    for b in ends:  # the edges into one color layer
+        np.maximum.at(f, head[a:b], f[tail[a:b]] + 1)
+        a = b
+    return int(f.max(initial=0))
 
 
-def compute_ub(sub: ColoredGraph | LocalGraph, delta: int, combo: str) -> int:
+def compute_ub(sub: ColoredGraph, delta: int, combo: str) -> int:
     """A combo's extra root bound on the branch subgraph ``sub`` (ub_△,
     ub_h, ub_cd, ub_ch or ub_cp); ub_size for "s" and "ad", which have
-    none. ``sub`` is a ``ColoredGraph`` for ub_cd, which peels its
-    arrays, and a ``LocalGraph`` for the others."""
+    none."""
     if combo in ("s", "ad"):
         return ub_size(sub)
     extra = combo.partition("+")[2]

@@ -37,9 +37,8 @@ Tomita & Kameda, J. Glob. Optim. 2007):
 A root adds only a combo's extra bound (Lemmas 10–14), on the root's
 subgraph with the kernel's coloring — the paper applies the expensive
 bounds "when selecting vertices to be added to R for the first time"
-(§VI-B). ub_cd peels that subgraph as the kernel's induced
-``ColoredGraph``; the other extra bounds read it from a ``LocalGraph``
-of the kernel, built once per search.
+(§VI-B). Every extra bound reads that subgraph as the kernel's induced
+``ColoredGraph``.
 
 Fairness is checked at *every* node (it is not monotone: extending a
 fair clique can break the δ balance), so the maximum is never missed.
@@ -53,7 +52,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.coloring import ColoredGraph
-from repro.graph.local import LocalGraph
 from repro.core.bounds import check_combo, compute_ub
 from repro.core.order import cal_color_od
 
@@ -176,7 +174,6 @@ def branch_search(
         start, adj = lg.neighbours()
         pos = np.empty(lg.n, dtype=np.int64)
         pos[order] = np.arange(lg.n)
-        local = None if extra == "cd" else LocalGraph.from_colored(lg)
     for i in range(lg.n):
         if st.deadline and time.perf_counter() > st.deadline:
             st.timed_out = True
@@ -191,8 +188,7 @@ def branch_search(
             keep = np.zeros(lg.n, dtype=bool)
             keep[row[pos[row] > i]] = True
             keep[order[i]] = True
-            sub = lg.induced(keep) if local is None else local.subgraph(lg.ids[keep].tolist())
-            if compute_ub(sub, delta, ub_combo) <= floor:
+            if compute_ub(lg.induced(keep), delta, ub_combo) <= floor:
                 st.roots_pruned += 1
                 continue
         na = (amask >> i) & 1

@@ -13,10 +13,9 @@ search on the driver.
    the (|R*|−1)-core (the paper's Remark in §V);
 4. branch-and-bound with the configured Table-II upper-bound combo.
 
-Steps 3–4 run on the kernel's arrays, CalColorOD, the search's bitsets
-and ub_cd's per-root peel included; only the combos with ub_△, ub_h,
-ub_ch or ub_cp as their extra root bound build a ``LocalGraph``, for
-their per-root subgraphs.
+Steps 3–4 run on the kernel's arrays: CalColorOD, the search's bitsets
+and every combo's extra root bound, on each root's subgraph induced from
+the kernel.
 
 ``max_rfc_local`` is the search-only variant (steps 3–4) used by unit
 tests and, on a kernel cached by ``repro.bench_harness``, by the

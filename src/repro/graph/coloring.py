@@ -5,9 +5,9 @@ coloring* (its line 1 of Algorithm 1, citing [30]): process vertices in
 (degree desc, id asc) order, give each the smallest color unused by its
 already-colored neighbors. ``color_graph_local`` collects a Spark graph
 once, as Arrow columns, and returns it as a ``ColoredGraph``, the numpy
-form the reductions peel and the kernel HeurRFC, CalColorOD and the
-search run on; ``csr_greedy`` colors it on its CSR adjacency, the
-coloring is one of its arrays and every subgraph keeps it.
+form the reductions peel and the kernel HeurRFC, CalColorOD, the search
+and its bounds run on; ``csr_greedy`` colors it on its CSR adjacency,
+the coloring is one of its arrays and every subgraph keeps it.
 ``sequential_greedy`` is the same coloring of an adjacency dict, for
 ``LocalGraph`` and the oracles.
 """
@@ -63,6 +63,13 @@ class ColoredGraph:
         """The degree of every label."""
         return np.bincount(self.src, minlength=self.n) + np.bincount(self.dst, minlength=self.n)
 
+    def live_degrees(self, keep: np.ndarray) -> np.ndarray:
+        """The degree of every label in the subgraph induced by the labels
+        where ``keep`` is true (a peel's round)."""
+        ok = keep[self.src] & keep[self.dst]
+        return (np.bincount(self.src[ok], minlength=self.n)
+                + np.bincount(self.dst[ok], minlength=self.n))
+
     def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency: label ``i``'s neighbours are ``nbr[start[i]:start[i + 1]]``."""
         return _csr(self.n, self.src, self.dst)
@@ -88,10 +95,7 @@ class ColoredGraph:
         time (all vertices below t leave at once); it keeps the coloring."""
         keep = np.ones(self.n, dtype=bool)
         while True:
-            ok = keep[self.src] & keep[self.dst]
-            deg = (np.bincount(self.src[ok], minlength=self.n)
-                   + np.bincount(self.dst[ok], minlength=self.n))
-            low = keep & (deg < t)
+            low = keep & (self.live_degrees(keep) < t)
             if not low.any():
                 return self.induced(keep)
             keep &= ~low

@@ -1,13 +1,14 @@
-"""Tests for the driver-side graph substrates: the adjacency-set
-``LocalGraph``, the ``ColoredGraph`` kernel's k-core and clique check,
-and the conversions between the two."""
+"""Tests for the driver-side graph substrates: the oracles' adjacency-set
+``LocalGraph``, the ``ColoredGraph`` kernel's k-core, degeneracy, h-index,
+color groups and clique check, and the conversion between the two."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import bounds, reference
 from repro.graph import gen
 from repro.graph.coloring import ColoredGraph, sequential_greedy
-from repro.graph.local import LocalGraph, h_index
+from repro.graph.local import LocalGraph
 
 
 def _lg(n=30, p=0.3, seed=0, p_a=0.5):
@@ -24,7 +25,7 @@ def _kernel(n=30, p=0.3, seed=0, p_a=0.5):
 def _path(n):
     v = pd.DataFrame({"id": range(n), "attr": (["a", "b"] * (n // 2 + 1))[:n]})
     e = pd.DataFrame({"src": range(n - 1), "dst": range(1, n)})
-    return LocalGraph.from_pandas(v, e)
+    return ColoredGraph.from_pandas(v, e)
 
 
 def test_from_pandas_symmetry():
@@ -74,20 +75,25 @@ def test_attr_counts_and_fairness():
 
 @pytest.mark.parametrize("seed,p_a", [(0, 0.5), (1, 0.3), (2, 0.8)])
 def test_color_groups_match_reference_and_bounds(seed, p_a):
-    """Per neighborhood the color groups equal the reference oracle's;
-    over the whole graph they give Lemma 7's and Lemma 8's bounds."""
+    """The kernel's color groups of each vertex's neighborhood (its
+    induced subgraph) equal the reference oracle's; over the whole graph
+    they give Lemma 7's and Lemma 8's bounds."""
     lg = _lg(seed=seed, p_a=p_a)
+    g = _kernel(seed=seed, p_a=p_a)
     alive = set(lg.adj)
-    for v in lg.adj:
-        assert lg.color_groups(lg.adj[v]) == reference.vertex_groups(lg, alive, v)
-    c_a, c_b, c_m = lg.color_groups(lg.adj)
+    start, nbr = g.neighbours()
+    for i, v in enumerate(g.ids.tolist()):
+        keep = np.zeros(g.n, dtype=bool)
+        keep[nbr[start[i]:start[i + 1]]] = True
+        assert bounds.color_groups(g.induced(keep)) == reference.vertex_groups(lg, alive, v)
+    c_a, c_b, c_m = bounds.color_groups(g)
     cols_a = {lg.color[v] for v in lg.adj if lg.attr[v] == "a"}
     cols_b = {lg.color[v] for v in lg.adj if lg.attr[v] == "b"}
     assert (c_a + c_m, c_b + c_m) == (len(cols_a), len(cols_b))
-    assert bounds.ub_color(lg) == c_a + c_b + c_m == len(cols_a | cols_b)
+    assert bounds.ub_color(g) == c_a + c_b + c_m == len(cols_a | cols_b)
     for delta in (0, 1, 3):
         x, y = c_a + c_m, c_b + c_m
-        assert bounds.ub_attr_color(lg, delta) == min(x + y, 2 * min(x, y) + delta)
+        assert bounds.ub_attr_color(g, delta) == min(x + y, 2 * min(x, y) + delta)
 
 
 def test_recolor_is_proper():
@@ -144,24 +150,24 @@ def test_k_core_of_clique():
 
 
 def test_degeneracy_path_and_clique():
-    assert _path(10).degeneracy() == 1
+    assert bounds.degeneracy(_path(10)) == 1
     v = pd.DataFrame({"id": range(5), "attr": ["a"] * 5})
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    lg = LocalGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
-    assert lg.degeneracy() == 4
+    g = ColoredGraph.from_pandas(v, pd.DataFrame(pairs, columns=["src", "dst"]))
+    assert bounds.degeneracy(g) == 4
 
 
 def test_h_index_function():
-    assert h_index([]) == 0
-    assert h_index([0, 0]) == 0
-    assert h_index([1, 1, 1]) == 1
-    assert h_index([3, 3, 3]) == 3
-    assert h_index([5, 4, 3, 2, 1]) == 3
+    assert bounds.h_index(np.array([], dtype=np.int64)) == 0
+    assert bounds.h_index(np.array([0, 0])) == 0
+    assert bounds.h_index(np.array([1, 1, 1])) == 1
+    assert bounds.h_index(np.array([3, 3, 3])) == 3
+    assert bounds.h_index(np.array([5, 4, 3, 2, 1])) == 3
 
 
 def test_h_index_graph():
-    lg = _path(10)
-    assert lg.h_index() == 2
+    g = _path(10)
+    assert bounds.h_index(g.degrees()) == 2
 
 
 def test_empty_graph():
@@ -169,22 +175,23 @@ def test_empty_graph():
         pd.DataFrame({"id": [], "attr": []}),
         pd.DataFrame({"src": [], "dst": []}),
     )
-    assert lg.n == 0 and lg.m == 0
-    assert lg.degeneracy() == 0
-    assert ColoredGraph.from_pandas(
+    g = ColoredGraph.from_pandas(
         pd.DataFrame({"id": [], "attr": []}), pd.DataFrame({"src": [], "dst": []})
-    ).k_core(1).n == 0
+    )
+    assert lg.n == 0 and lg.m == 0
+    assert bounds.degeneracy(g) == 0
+    assert g.k_core(1).n == 0
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_colored_round_trips_graph_and_coloring(seed):
-    """The kernel of a pair of frames, read back through its frames or
-    through ``LocalGraph.from_colored``, is the ``LocalGraph`` of the same
-    frames: vertices, attributes, edges and colors."""
+    """The kernel of a pair of frames, read back through its frames, is
+    the ``LocalGraph`` of the same frames: vertices, attributes, edges and
+    colors."""
     lg = _lg(n=25, p=0.3, seed=seed)
     g = _kernel(n=25, p=0.3, seed=seed)
-    for back in (LocalGraph.from_pandas(*g.frames()), LocalGraph.from_colored(g)):
-        assert (back.adj, back.attr, back.color) == (lg.adj, lg.attr, lg.color)
+    back = LocalGraph.from_pandas(*g.frames())
+    assert (back.adj, back.attr, back.color) == (lg.adj, lg.attr, lg.color)
 
 
 def test_colored_graph_fair_clique():

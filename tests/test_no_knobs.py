@@ -57,6 +57,20 @@ def test_core_does_not_import_pyspark():
     assert importers == []
 
 
+def test_core_imports_local_graph_only_in_oracles():
+    """The search and its bounds run on the ``ColoredGraph`` kernel; under
+    ``core/`` only the oracles (``baseline.py``, ``reference.py``) import
+    the adjacency-set ``LocalGraph``."""
+    core = Path(repro.__file__).parent / "core"
+    importers = sorted(
+        path.name
+        for path in core.glob("*.py")
+        if re.search(r"^\s*(from\s+repro\.graph\.local\b|import\s+repro\.graph\.local\b"
+                     r"|from\s+repro\.graph\s+import\s+.*\blocal\b)", path.read_text(), re.M)
+    )
+    assert importers == ["baseline.py", "reference.py"]
+
+
 def test_ub_ad_has_one_implementation(monkeypatch):
     """ub_AD is the search's per-node coloring bound only: the root-level
     copy (``bounds.ub_advanced`` on a recolored per-root subgraph) must
@@ -106,11 +120,11 @@ def test_kernel_is_colored_once(monkeypatch):
 
 
 def test_default_path_builds_no_local_graph(monkeypatch):
-    """``max_rfc``'s default path runs on the ``ColoredGraph`` kernel from
-    the collect to the search: with ``LocalGraph`` construction and the
-    dict-and-heap peel (now only the oracle) made to raise, "s" and "ad",
-    with and without HeurRFC, still find the maximum, and so does
-    "ad+cd", whose root bound peels the root's subgraph as arrays."""
+    """``max_rfc`` runs on the ``ColoredGraph`` kernel from the collect to
+    the search, under every combo: with ``LocalGraph`` construction and
+    the dict-and-heap peel (now only the oracle) made to raise, every
+    combo of ``bounds.COMBOS``, with and without HeurRFC, still finds the
+    maximum, each extra root bound reading the root's subgraph as arrays."""
     assert not hasattr(order, "heapq")  # no second CalColorOD in the pipeline
     frames = gen.random_attributed_graph(30, 0.5, seed=3)
     expect = brute_force_size(LocalGraph.from_pandas(*frames), 2, 1)
@@ -122,7 +136,7 @@ def test_default_path_builds_no_local_graph(monkeypatch):
 
     monkeypatch.setattr(LocalGraph, "__init__", refuse)
     monkeypatch.setattr(reference, "colorful_peel", refuse)
-    for combo in ("s", "ad", "ad+cd"):
+    for combo in bounds.COMBOS:
         for use_heuristic in (True, False):
             res = max_rfc_local(kernel, 2, 1, ub_combo=combo, use_heuristic=use_heuristic)
             assert res.search.completed and res.size == expect
