@@ -3,18 +3,16 @@
 For every dataset and k: remaining (n, m) after EnColorfulCore,
 ColorfulSup and EnColorfulSup applied in sequence (Algorithm 2's order).
 The pipeline skips ColorfulSup, which cannot change its kernel
-(DESIGN.md §3.3.7), so its column is computed here: ColorfulSup(k) on
-the EnColorfulCore(k−1) output of G's coloring.
+(DESIGN.md §3.3.7); ``bench_harness.fig4_stages`` adds its column:
+ColorfulSup(k) on the EnColorfulCore(k−1) output of G's coloring.
 Paper shape to check: each stage shrinks the graph, edge-peeling
 (ColorfulSup/EnColorfulSup) dominates vertex-peeling, and the reduction
 strengthens as k grows.
 """
 import pytest
 
-from repro.graph.coloring import color_graph_local
 from repro.graph.gen import DATASETS, PARAM_GRID
-from repro.core.reduction import colorful_sup_reduce, en_colorful_core
-from repro.bench_harness import emit_table, kernel, prepare
+from repro.bench_harness import emit_table, fig4_stages, kernel
 
 _ROWS: dict[tuple[str, int], dict[str, tuple[int, int]]] = {}
 
@@ -25,19 +23,11 @@ _POINTS = [
 
 @pytest.mark.parametrize("name,k", _POINTS, ids=[f"{n}-k{k}" for n, k in _POINTS])
 def test_reduction_stages(benchmark, spark, name, k):
-    report = benchmark.pedantic(
-        lambda: kernel(spark, name, k), rounds=1, iterations=1
-    )
-    stages = report.stage_dict()
-    # Monotone shrinking across the pipeline.
-    order = ["original", "encore", "ensup"]
+    benchmark.pedantic(lambda: kernel(spark, name, k), rounds=1, iterations=1)
+    stages = fig4_stages(spark, name, k)
+    # Monotone shrinking across the pipeline; EnColorfulSup ⊆ ColorfulSup.
+    order = ["original", "encore", "sup", "ensup"]
     for a, b in zip(order, order[1:]):
-        assert stages[b][0] <= stages[a][0]
-        assert stages[b][1] <= stages[a][1]
-    g = color_graph_local(prepare(spark, name).graph)
-    sup = colorful_sup_reduce(en_colorful_core(g, k - 1), k)
-    stages["sup"] = (sup.n, sup.m)
-    for a, b in (("encore", "sup"), ("sup", "ensup")):  # EnColorfulSup ⊆ ColorfulSup
         assert stages[b][0] <= stages[a][0]
         assert stages[b][1] <= stages[a][1]
     _ROWS[(name, k)] = stages

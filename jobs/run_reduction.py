@@ -2,9 +2,8 @@
 
     spark-submit jobs/run_reduction.py [--scale 1.0] [--datasets ...]
 
-The ColorfulSup column is ColorfulSup(k) on the EnColorfulCore(k−1)
-output of G's coloring, computed here: the pipeline skips that stage,
-which cannot change its kernel (DESIGN.md §3.3.7).
+The rows come from ``bench_harness.fig4_stages``, as in
+``benchmarks/bench_reduction.py``.
 """
 import argparse
 import sys
@@ -13,9 +12,7 @@ sys.path.insert(0, ".")
 from jobs._session import get_session  # noqa: E402
 
 from repro.graph import gen  # noqa: E402
-from repro.graph.coloring import color_graph_local  # noqa: E402
-from repro.core.reduction import colorful_sup_reduce, en_colorful_core  # noqa: E402
-from repro.bench_harness import kernel, prepare  # noqa: E402
+from repro.bench_harness import fig4_stages  # noqa: E402
 
 
 def main() -> None:
@@ -28,10 +25,7 @@ def main() -> None:
     print("|---|---|---|---|---|---|")
     for name in args.datasets:
         for k in gen.PARAM_GRID[name][0]:
-            st = kernel(spark, name, k, scale=args.scale).stage_dict()
-            g = color_graph_local(prepare(spark, name, args.scale).graph)
-            sup = colorful_sup_reduce(en_colorful_core(g, k - 1), k)
-            st["sup"] = (sup.n, sup.m)
+            st = fig4_stages(spark, name, k, scale=args.scale)
             cells = " | ".join(
                 f"{st[s][0]:,} / {st[s][1]:,}"
                 for s in ("original", "encore", "sup", "ensup")

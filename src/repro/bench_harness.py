@@ -10,7 +10,8 @@ coloring, every stage to its exact fixpoint on the driver — and caches
 the ``ReductionReport`` it returns. Callers search ``report.graph``, the
 ``ColoredGraph`` kernel, with ``max_rfc_local``, which never recolors
 it, so every cell searches the same coloring whatever order the cells
-run in.
+run in. ``fig4_stages`` adds Fig 4's ColorfulSup row to a kernel's
+stages, for the job and the benchmark alike.
 
 A cell's time is that configuration's heuristic + search
 (``sum(res.timings.values())``): for a combo with an extra root bound
@@ -28,7 +29,10 @@ from pyspark.sql import SparkSession
 
 from repro.graph import gen
 from repro.graph.builder import AttributedGraph, from_pandas
-from repro.core.reduction import ReductionReport, reduce_pipeline
+from repro.graph.coloring import color_graph_local
+from repro.core.reduction import (
+    ReductionReport, colorful_sup_reduce, en_colorful_core, reduce_pipeline,
+)
 
 #: Table-II ub configurations, in the paper's column order.
 TABLE2_COMBOS = ("ad", "ad+deg", "ad+h", "ad+cd", "ad+ch", "ad+cp")
@@ -46,6 +50,7 @@ class Prepared:
 
 _PREPARED: dict[tuple[str, float], Prepared] = {}
 _KERNELS: dict[tuple[str, float, int], ReductionReport] = {}
+_FIG4: dict[tuple[str, float, int], dict[str, tuple[int, int]]] = {}
 
 
 def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
@@ -62,6 +67,20 @@ def kernel(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> Reduct
     if key not in _KERNELS:
         _KERNELS[key] = reduce_pipeline(prepare(spark, name, scale).graph, k)
     return _KERNELS[key]
+
+
+def fig4_stages(spark: SparkSession, name: str, k: int, scale: float = 1.0) -> dict[str, tuple[int, int]]:
+    """Fig 4's (n, m) per stage: the kernel's ``original``, ``encore`` and
+    ``ensup`` rows, and ``sup``, ColorfulSup(k) on the EnColorfulCore(k−1)
+    output of G's coloring. The pipeline skips that stage, which cannot
+    change its kernel (DESIGN.md §3.3.7), so it is computed here."""
+    key = (name, scale, k)
+    if key not in _FIG4:
+        stages = kernel(spark, name, k, scale).stage_dict()
+        g = color_graph_local(prepare(spark, name, scale).graph)
+        sup = colorful_sup_reduce(en_colorful_core(g, k - 1), k)
+        _FIG4[key] = {**stages, "sup": (sup.n, sup.m)}
+    return _FIG4[key]
 
 
 def reduce_seconds(report: ReductionReport) -> tuple[float, float]:

@@ -1,8 +1,7 @@
 """Graph reductions, batch-peeled on the driver with numpy.
 
 The paper's reductions over a ``ColoredGraph`` (``color_graph_local``):
-``colorful_core`` (Def. 3 / Lemma 1) and ``en_colorful_core`` (Def. 5 /
-Lemma 2) peel vertices with ``min(D_a, D_b) < t`` or ``ED < t``;
+``en_colorful_core`` (Def. 5 / Lemma 2) peels vertices with ``ED < t``;
 ``colorful_sup_reduce`` (Lemmas 3–4, Algorithm 1) peels edges whose
 (enhanced) colorful supports miss the attribute-pair thresholds.
 
@@ -28,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 
 from repro.graph.builder import AttributedGraph
 from repro.graph.coloring import ColoredGraph, color_graph_local
@@ -87,27 +85,17 @@ def _common_neighbors(g: ColoredGraph):
         yield owner, by_rank[np.concatenate([tip[second], tip[first], root[first]])]
 
 
-def vertex_color_stats(g: ColoredGraph) -> pd.DataFrame:
-    """(id, d_a, d_b, c_a, c_b, c_m, ed) for every vertex of ``g``, in label
-    order: colorful degrees D_a/D_b (Def. 2), color groups, and the
-    enhanced colorful degree ED (Def. 4)."""
+def vertex_color_stats(g: ColoredGraph) -> tuple[np.ndarray, ...]:
+    """(c_a, c_b, c_m) of every vertex's neighbors, in label order; the
+    colorful degrees (Def. 2) are D_a = c_a + c_m and D_b = c_b + c_m."""
     rows = [(np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src]))]
-    c_a, c_b, c_m = _color_groups(g, g.n, rows)
-    ed = np.minimum(np.minimum(c_a, c_b) + c_m, (c_a + c_b + c_m) // 2)
-    return pd.DataFrame({"id": g.ids, "d_a": c_a + c_m, "d_b": c_b + c_m,
-                         "c_a": c_a, "c_b": c_b, "c_m": c_m, "ed": ed})
+    return _color_groups(g, g.n, rows)
 
 
-def edge_color_stats(g: ColoredGraph) -> pd.DataFrame:
-    """(src, dst, attr_u, attr_v, sup_a, sup_b, c_a, c_b, c_m) by id for
-    every edge of ``g``, in its order: colorful supports (Def. 6) and the
-    common neighbors' color groups (Def. 7)."""
-    c_a, c_b, c_m = _color_groups(g, g.m, _common_neighbors(g))
-    attr = np.where(g.is_b, "b", "a")
-    return pd.DataFrame({"src": g.ids[g.src], "dst": g.ids[g.dst],
-                         "attr_u": attr[g.src], "attr_v": attr[g.dst],
-                         "sup_a": c_a + c_m, "sup_b": c_b + c_m,
-                         "c_a": c_a, "c_b": c_b, "c_m": c_m})
+def edge_color_stats(g: ColoredGraph) -> tuple[np.ndarray, ...]:
+    """(c_a, c_b, c_m) of every edge's common neighbors, in edge order;
+    the colorful supports (Def. 6) are c_a + c_m and c_b + c_m."""
+    return _color_groups(g, g.m, _common_neighbors(g))
 
 
 def enhanced_supports(c_a, c_b, c_m, ka, kb):
@@ -126,25 +114,16 @@ def _peel(g: ColoredGraph, keep) -> ColoredGraph:
     return g.drop_isolated()
 
 
-def _vertex_peel(g: ColoredGraph, t: int, metric) -> ColoredGraph:
-    """Peel vertices whose metric (of their vertex_color_stats row) < t."""
+def en_colorful_core(g: ColoredGraph, t: int) -> ColoredGraph:
+    """Maximal subgraph with ED(u) ≥ t for every vertex (Def. 5); by
+    Lemma 2 every (k, δ)-fair clique is in the one for t = k − 1. ED
+    (Def. 4) = min(min(c_a, c_b) + c_m, ⌊(c_a + c_b + c_m)/2⌋)."""
     def keep(cur: ColoredGraph) -> np.ndarray:
-        ok = (metric(vertex_color_stats(cur)) >= t).to_numpy()
+        c_a, c_b, c_m = vertex_color_stats(cur)
+        ok = np.minimum(np.minimum(c_a, c_b) + c_m, (c_a + c_b + c_m) // 2) >= t
         return ok[cur.src] & ok[cur.dst]
 
     return _peel(g, keep)
-
-
-def colorful_core(g: ColoredGraph, t: int) -> ColoredGraph:
-    """Maximal subgraph with min(D_a, D_b) ≥ t for every vertex (Def. 3);
-    by Lemma 1 every (k, δ)-fair clique is in the one for t = k − 1."""
-    return _vertex_peel(g, t, lambda s: np.minimum(s["d_a"], s["d_b"]))
-
-
-def en_colorful_core(g: ColoredGraph, t: int) -> ColoredGraph:
-    """Maximal subgraph with ED(u) ≥ t for every vertex (Def. 5); by
-    Lemma 2 every (k, δ)-fair clique is in the one for t = k − 1."""
-    return _vertex_peel(g, t, lambda s: s["ed"])
 
 
 def colorful_sup_reduce(g: ColoredGraph, k: int, *, enhanced: bool = False) -> ColoredGraph:
@@ -152,14 +131,13 @@ def colorful_sup_reduce(g: ColoredGraph, k: int, *, enhanced: bool = False) -> C
     (enhanced, Def. 7) colorful supports meet the attribute-pair thresholds
     (a,a) → sup_a ≥ k−2 ∧ sup_b ≥ k; (b,b) mirrored; (a,b) → both ≥ k−1."""
     def keep(cur: ColoredGraph) -> np.ndarray:
-        s = edge_color_stats(cur)
+        c_a, c_b, c_m = edge_color_stats(cur)
         nb = cur.is_b[cur.src].astype(np.int64) + cur.is_b[cur.dst]
         ka, kb = k - 2 + nb, k - nb
         if enhanced:
-            groups = (s[c].to_numpy() for c in ("c_a", "c_b", "c_m"))
-            sup_a, sup_b = enhanced_supports(*groups, ka, kb)
+            sup_a, sup_b = enhanced_supports(c_a, c_b, c_m, ka, kb)
         else:
-            sup_a, sup_b = s["sup_a"].to_numpy(), s["sup_b"].to_numpy()
+            sup_a, sup_b = c_a + c_m, c_b + c_m
         return (sup_a >= ka) & (sup_b >= kb)
 
     return _peel(g, keep)

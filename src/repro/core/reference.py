@@ -36,8 +36,8 @@ def vertex_groups(lg: LocalGraph, alive: set[int], v: int) -> tuple[int, int, in
     return c_a, c_b, c_m
 
 
-def reference_core_peel(lg: LocalGraph, t: int, *, enhanced: bool) -> set[int]:
-    """Sequential (En)ColorfulCore: one vertex removed per step."""
+def reference_core_peel(lg: LocalGraph, t: int) -> set[int]:
+    """Sequential EnColorfulCore: one vertex removed per step."""
     alive = set(lg.adj)
     if t <= 0:
         return alive
@@ -45,13 +45,7 @@ def reference_core_peel(lg: LocalGraph, t: int, *, enhanced: bool) -> set[int]:
     while changed:
         changed = False
         for v in sorted(alive):
-            c_a, c_b, c_m = vertex_groups(lg, alive, v)
-            val = (
-                enhanced_colorful_degree(c_a, c_b, c_m)
-                if enhanced
-                else min(c_a + c_m, c_b + c_m)  # D_min = min(D_a, D_b)
-            )
-            if val < t:
+            if enhanced_colorful_degree(*vertex_groups(lg, alive, v)) < t:
                 alive.discard(v)
                 changed = True
                 break  # strictly one-at-a-time

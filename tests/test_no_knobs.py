@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 
 import repro
-from repro.core import bounds, branch, order, reference
+from repro.core import bounds, branch, order, reduction, reference
 from repro.core.baseline import brute_force_size
 from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
@@ -203,3 +203,31 @@ def test_collect_builds_no_frame_and_no_adjacency_dict(monkeypatch):
     got = coloring.color_graph_local(AttributedGraph(*map(_Frame, tables)))
     for name in ("ids", "is_b", "color", "src", "dst"):
         assert (getattr(got, name) == getattr(expect, name)).all()
+
+
+def test_reductions_peel_on_arrays(monkeypatch):
+    """The reductions peel on color-group arrays: Def. 3's unused
+    ColorfulCore must not come back, and with pandas frames made to
+    raise, EnColorfulCore and (En)ColorfulSup still equal the
+    one-at-a-time references."""
+    assert not hasattr(reduction, "colorful_core")
+    frames = gen.random_attributed_graph(30, 0.5, seed=8)
+    g = ColoredGraph.from_pandas(*frames)
+    lg = LocalGraph.from_pandas(*g.frames())
+    core = reference.reference_core_peel(lg, 3)
+    want = {"core": (core, {(u, w) for u in core for w in lg.adj[u] & core if u < w})}
+    for enhanced in (False, True):
+        edges = reference.reference_sup_peel(lg, 3, enhanced=enhanced)
+        want[enhanced] = ({u for uw in edges for u in uw}, edges)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduction built a pandas frame")
+
+    monkeypatch.setattr(pd.DataFrame, "__init__", refuse)
+    got = {"core": reduction.en_colorful_core(g, 3),
+           **{e: reduction.colorful_sup_reduce(g, 3, enhanced=e) for e in (False, True)}}
+    for name, h in got.items():
+        ends = zip(h.ids[h.src].tolist(), h.ids[h.dst].tolist())
+        assert (set(h.ids.tolist()), {(min(uw), max(uw)) for uw in ends}) == want[name], name
+        assert 0 < h.m < g.m, name  # each peel removes some edges, not all
+    assert got[True].m < got[False].m  # the enhanced supports are stricter here

@@ -1,4 +1,11 @@
-"""Reduction tests: fixpoint laws, batch≡sequential, optimum safety."""
+"""Reduction tests: fixpoint laws, batch≡sequential, optimum safety.
+
+Each input is lifted to Spark and collected and colored by
+``color_graph_local``; its ``LocalGraph`` is built from the same colored
+frames, so the batch peels and ``core/reference.py`` see identical
+colors. Besides the fixed graphs below, the peels are compared with the
+references on six 30-vertex random graphs (``random<seed>``).
+"""
 import pandas as pd
 import pytest
 
@@ -9,12 +16,15 @@ from repro.graph.coloring import color_graph_local
 from repro.graph.local import LocalGraph
 from repro.core import reference as ref
 from repro.core.baseline import brute_force_size
-from repro.core.reduction import (
-    colorful_core,
-    colorful_sup_reduce,
-    en_colorful_core,
-    reduce_pipeline,
-)
+from repro.core.reduction import colorful_sup_reduce, en_colorful_core, reduce_pipeline
+
+SEEDS = range(6)
+
+
+def _colored(spark, v, e):
+    """(colored graph, v, e, its LocalGraph) for the frames ``v``, ``e``."""
+    g = color_graph_local(from_pandas(spark, v, e))
+    return g, v, e, LocalGraph.from_pandas(*g.frames())
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +35,7 @@ def dense_graph(spark):
     import numpy as np
 
     gen.plant_fair_clique(edges, v, np.arange(10), cnt_a=5, seed=4)
-    e = gen._edges_frame(edges)
-    g = color_graph_local(from_pandas(spark, v, e))
-    lg = LocalGraph.from_pandas(*g.frames())
-    return g, v, e, lg
+    return _colored(spark, v, gen._edges_frame(edges))
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +48,28 @@ def strip_graph(spark):
     v = pd.DataFrame({"id": range(n), "attr": ["abb"[i % 3] for i in range(n)]})
     pairs = {(i, j) for i in range(n) for j in range(i + 1, min(n, i + w + 1))}
     pairs |= {(i, j) for i in range(n - 8, n) for j in range(i + 1, n)}
-    e = pd.DataFrame(sorted(pairs), columns=["src", "dst"])
-    g = color_graph_local(from_pandas(spark, v, e))
-    lg = LocalGraph.from_pandas(*g.frames())
-    return g, v, e, lg
+    return _colored(spark, v, pd.DataFrame(sorted(pairs), columns=["src", "dst"]))
+
+
+@pytest.fixture(scope="module")
+def random_graphs(spark):
+    """(n, p, seed) -> a random graph as ``_colored`` gives it, built once."""
+    cache = {}
+
+    def get(n=30, p=0.35, seed=0):
+        if (n, p, seed) not in cache:
+            cache[(n, p, seed)] = _colored(spark, *gen.random_attributed_graph(n, p, seed=seed))
+        return cache[(n, p, seed)]
+
+    return get
+
+
+def _input(request, graph):
+    """The graph a test is parametrized with: a fixture's name, or
+    ``random<seed>``."""
+    if graph.startswith("random"):
+        return request.getfixturevalue("random_graphs")(seed=int(graph[len("random"):]))
+    return request.getfixturevalue(graph)
 
 
 def _edge_set(g):
@@ -59,10 +84,11 @@ def _vertex_set(g):
 @pytest.mark.parametrize(
     "graph,t",
     [pytest.param("dense_graph", t, id=str(t)) for t in (2, 3, 4)]
-    + [pytest.param("strip_graph", 2, id="strip-2")],
+    + [pytest.param("strip_graph", 2, id="strip-2")]
+    + [pytest.param(f"random{s}", t, id=f"random{s}-{t}") for t in (2, 3) for s in SEEDS],
 )
 def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, graph, t):
-    g, v, e, lg = request.getfixturevalue(graph)
+    g, v, e, lg = _input(request, graph)
     rounds = []
     stats = reduction.vertex_color_stats
 
@@ -73,33 +99,28 @@ def test_en_colorful_core_equals_sequential_reference(request, monkeypatch, grap
     monkeypatch.setattr(reduction, "vertex_color_stats", counted)
     out = en_colorful_core(g, t)
     got = _vertex_set(out)
-    want = ref.reference_core_peel(lg, t, enhanced=True)
+    want = ref.reference_core_peel(lg, t)
     assert got == want
     assert _edge_set(out) == {(u, v) for u, v in _edge_set(g) if u in want and v in want}
     if graph == "strip_graph":
         assert len(rounds) > 8 and got
 
 
-@pytest.mark.parametrize("t", [2, 4])
-def test_colorful_core_equals_sequential_reference(dense_graph, t):
-    g, v, e, lg = dense_graph
-    got = _vertex_set(colorful_core(g, t))
-    want = ref.reference_core_peel(lg, t, enhanced=False)
-    assert got == want
+def test_en_colorful_core_zero_threshold(random_graphs):
+    """At t = 0 EnColorfulCore keeps every vertex (none is isolated here)."""
+    g, v, e, lg = random_graphs(seed=1)
+    assert _vertex_set(en_colorful_core(g, 0)) == set(lg.adj)
 
 
-def test_encore_subset_of_core(dense_graph):
-    """ED(u) ≤ D_min(u), so the enhanced core is contained in the core."""
-    g, *_ = dense_graph
-    core = _vertex_set(colorful_core(g, 3))
-    encore = _vertex_set(en_colorful_core(g, 3))
-    assert encore <= core
-
-
-@pytest.mark.parametrize("k,enhanced", [(3, False), (3, True), (4, False), (4, True)])
-def test_sup_peel_equals_sequential_reference(dense_graph, k, enhanced):
+@pytest.mark.parametrize(
+    "graph,k,enhanced",
+    [pytest.param("dense_graph", k, x, id=f"{k}-{x}") for k in (3, 4) for x in (False, True)]
+    + [pytest.param(f"random{s}", k, x, id=f"random{s}-{k}-{x}")
+       for k in (2, 3) for x in (False, True) for s in SEEDS],
+)
+def test_sup_peel_equals_sequential_reference(request, graph, k, enhanced):
     """Batch edge-peel == one-at-a-time reference peel."""
-    g, v, e, lg = dense_graph
+    g, v, e, lg = _input(request, graph)
     got = _edge_set(colorful_sup_reduce(g, k, enhanced=enhanced))
     want = ref.reference_sup_peel(lg, k, enhanced=enhanced)
     assert got == want
@@ -132,6 +153,18 @@ def test_reduction_preserves_optimum(spark, dense_graph, k, delta):
     opt = brute_force_size(lg, k, delta)
     red = reduce_pipeline(from_pandas(spark, v, e), k).graph
     assert brute_force_size(LocalGraph.from_pandas(*red.frames()), k, delta) == opt
+
+
+def test_pipeline_keeps_optimum_at_ensup_fixpoint(spark, random_graphs):
+    """The pipeline keeps the optimum and ends at a fixpoint: the
+    reference EnColorfulSup peel removes nothing more."""
+    _, v, e, lg = random_graphs(n=26, p=0.45, seed=3)
+    k, delta = 2, 1
+    opt = brute_force_size(lg, k, delta)
+    red = LocalGraph.from_pandas(*reduce_pipeline(from_pandas(spark, v, e), k).graph.frames())
+    assert brute_force_size(red, k, delta) == opt
+    edges = {(u, w) for u in red.adj for w in red.adj[u] if u < w}
+    assert ref.reference_sup_peel(red, k, enhanced=True) == edges
 
 
 def test_pipeline_monotone_shrink(spark, dense_graph):

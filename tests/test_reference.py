@@ -49,7 +49,7 @@ def test_enhanced_sups_feasibility_equivalence(ca, cb, cm, ka, kb):
 def test_reference_core_peel_fixpoint():
     lg = _lg(seed=5)
     for t in (1, 2):
-        alive = ref.reference_core_peel(lg, t, enhanced=True)
+        alive = ref.reference_core_peel(lg, t)
         for v in alive:
             c_a, c_b, c_m = ref.vertex_groups(lg, alive, v)
             assert ref.enhanced_colorful_degree(c_a, c_b, c_m) >= t
@@ -72,7 +72,7 @@ def test_reference_peels_preserve_optimum(k, delta):
     for seed in range(4):
         lg = _lg(n=22, p=0.45, seed=seed)
         opt = brute_force_size(lg, k, delta)
-        alive = ref.reference_core_peel(lg, k - 1, enhanced=True)
+        alive = ref.reference_core_peel(lg, k - 1)
         assert brute_force_size(lg.subgraph(alive), k, delta) == opt
         edges = ref.reference_sup_peel(lg, k, enhanced=True)
         verts = {u for e in edges for u in e}
