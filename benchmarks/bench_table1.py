@@ -3,24 +3,20 @@
 Paper's Table I lists the six real graphs; ours lists the synthetic
 analogues actually used in every other benchmark. Rows are printed in
 markdown so EXPERIMENTS.md can be diffed against the paper's table.
+Each row is ``bench_harness.table1_stats``, as in ``jobs/run_table1.py``:
+n, m and d_max of G as the pipeline collects it.
 """
 import pytest
 
 from repro.graph import gen
-from repro.graph.builder import degrees
-from repro.bench_harness import emit_table, prepare
+from repro.bench_harness import emit_table, table1_stats
 
 _ROWS: dict[str, tuple[int, int, int]] = {}
 
 
 @pytest.mark.parametrize("name", sorted(gen.DATASETS))
 def test_table1_stats(benchmark, spark, name):
-    def stats():
-        prep = prepare(spark, name)
-        dmax = degrees(prep.graph).agg({"degree": "max"}).first()[0]
-        return prep.n, prep.m, int(dmax)
-
-    n, m, dmax = benchmark.pedantic(stats, rounds=1, iterations=1)
+    n, m, dmax = benchmark.pedantic(lambda: table1_stats(spark, name), rounds=1, iterations=1)
     _ROWS[name] = (n, m, dmax)
     assert n > 0 and m > 0 and dmax > 0
 

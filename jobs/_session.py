@@ -3,10 +3,11 @@ the benchmark and the test fixture (the root ``conftest.py``).
 
 Arrow on, so a pandas frame crosses into or out of Spark (the lift's
 ``createDataFrame``, a ``toPandas``) as one columnar transfer, as the
-collect's ``toArrow`` always does; 8 shuffle partitions keep the small
-jobs left (the lift's edge dedup, Table I's degrees, the DuckDB-checked
-test queries) low-latency; broadcast autojoin off so shuffle paths are
-exercised.
+collect's ``toArrow`` always does. The pipeline itself never shuffles:
+the lift, its checkpoint and the collect are narrow. The only shuffles
+left are the DuckDB-checked test queries' ``groupBy``
+(``tests/test_oracle_synth.py``), which 8 shuffle partitions keep
+low-latency.
 """
 from pyspark.sql import SparkSession
 
@@ -16,7 +17,6 @@ def get_session(app: str) -> SparkSession:
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "8")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )

@@ -1,6 +1,9 @@
 """Print Table I (dataset statistics) for the six synthetic analogues.
 
     spark-submit jobs/run_table1.py [--scale 1.0]
+
+The rows come from ``bench_harness.table1_stats``, as in
+``benchmarks/bench_table1.py``.
 """
 import argparse
 import sys
@@ -9,7 +12,7 @@ sys.path.insert(0, ".")
 from jobs._session import get_session  # noqa: E402
 
 from repro.graph import gen  # noqa: E402
-from repro.graph.builder import degrees, from_pandas  # noqa: E402
+from repro.bench_harness import table1_stats  # noqa: E402
 
 
 def main() -> None:
@@ -20,10 +23,8 @@ def main() -> None:
     print("| dataset | n=|V| | m=|E| | d_max |")
     print("|---|---|---|---|")
     for name in sorted(gen.DATASETS):
-        v, e = gen.DATASETS[name](scale=args.scale)
-        g = from_pandas(spark, v, e)
-        dmax = degrees(g).agg({"degree": "max"}).first()[0]
-        print(f"| {name} | {len(v):,} | {len(e):,} | {dmax:,} |")
+        n, m, dmax = table1_stats(spark, name, scale=args.scale)
+        print(f"| {name} | {n:,} | {m:,} | {dmax:,} |")
     spark.stop()
 
 

@@ -1,15 +1,16 @@
-"""Spark-side attributed-graph algebra.
+"""The Spark input of the pipeline, and the input contract.
 
 ``AttributedGraph`` is a thin immutable holder of two DataFrames:
 
 - ``vertices``: ``(id: long, attr: string)`` — attr ∈ {"a", "b"};
-- ``edges``: canonical undirected edges ``(src: long, dst: long)`` with
-  ``src < dst``, deduplicated, no self loops.
+- ``edges``: undirected edges ``(src: long, dst: long)`` as the input
+  lists them, in either orientation, repeats and self loops included.
 
-All operations are pure DataFrame transformations (Catalyst-planned).
-This is the input side of the pipeline: ``reduce_pipeline`` collects a
-lifted graph once (``coloring.color_graph_local``) and reduces it on the
-driver; ``degrees`` serves Table I.
+``from_pandas`` checks the input contract (``check_frames``) and lifts
+the frames as they are. ``reduce_pipeline`` collects a lifted graph
+once (``coloring.color_graph_local``); ``ColoredGraph.from_columns``,
+on the driver, is the one place edges are canonicalized (``src < dst``,
+no repeats, no self loops).
 """
 from __future__ import annotations
 
@@ -18,34 +19,25 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
 class AttributedGraph:
-    """Vertices (id, attr) + canonical undirected edges (src < dst)."""
+    """Vertices (id, attr) + undirected edges (src, dst), as lifted."""
 
     vertices: DataFrame
     edges: DataFrame
 
-    def counts(self) -> tuple[int, int]:
-        """(n, m) — triggers two small actions."""
-        return self.vertices.count(), self.edges.count()
-
     def checkpointed(self) -> "AttributedGraph":
-        """Both frames materialised (``localCheckpoint(eager=True)``), so
-        the collect does not re-run the lift's edge dedup."""
+        """Both frames materialised (``localCheckpoint(eager=True)``), one
+        Spark job each; the collect then reads the stored blocks instead
+        of re-running the lift's plan. A warmed collect measured no slower
+        for it: 53 ms either way per analogue and 42 against 46 ms on the
+        benchmark's G(240, 0.5) (medians of 30 calls, ``local[4]``)."""
         return AttributedGraph(
             self.vertices.localCheckpoint(eager=True),
             self.edges.localCheckpoint(eager=True),
         )
-
-
-def canonicalize_edges(edges: DataFrame) -> DataFrame:
-    """Normalize an arbitrary (src, dst) edge list to canonical form."""
-    lo = F.least("src", "dst").alias("src")
-    hi = F.greatest("src", "dst").alias("dst")
-    return edges.select(lo, hi).where(F.col("src") != F.col("dst")).distinct()
 
 
 def _integers(x, what: str) -> np.ndarray:
@@ -106,24 +98,9 @@ def check_frames(vertices: pd.DataFrame, edges: pd.DataFrame) -> None:
 
 
 def from_pandas(spark: SparkSession, vertices: pd.DataFrame, edges: pd.DataFrame) -> AttributedGraph:
-    """Lift the pandas frames produced by ``repro.graph.gen`` into Spark."""
+    """Lift the pandas frames produced by ``repro.graph.gen`` into Spark,
+    unchanged once ``check_frames`` accepts them."""
     check_frames(vertices, edges)
-    vdf = spark.createDataFrame(vertices, schema="id long, attr string")
-    edf = spark.createDataFrame(edges, schema="src long, dst long")
-    return AttributedGraph(vdf, canonicalize_edges(edf))
+    return AttributedGraph(spark.createDataFrame(vertices, schema="id long, attr string"),
+                           spark.createDataFrame(edges, schema="src long, dst long"))
 
-
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both orientations of every canonical edge: the adjacency relation."""
-    return edges.select("src", "dst").union(
-        edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
-    )
-
-
-def degrees(g: AttributedGraph) -> DataFrame:
-    """(id, degree) for every vertex, including isolated ones (degree 0)."""
-    d = symmetrize(g.edges).groupBy("src").agg(F.count("*").alias("degree"))
-    return (
-        g.vertices.join(F.broadcast(d), g.vertices["id"] == d["src"], "left")
-        .select("id", F.coalesce("degree", F.lit(0)).alias("degree"))
-    )

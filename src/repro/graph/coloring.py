@@ -6,8 +6,11 @@ coloring* (its line 1 of Algorithm 1, citing [30]): process vertices in
 already-colored neighbors. ``color_graph_local`` collects a Spark graph
 once, as Arrow columns, and returns it as a ``ColoredGraph``, the numpy
 form the reductions peel and the kernel HeurRFC, CalColorOD, the search
-and its bounds run on; ``csr_greedy`` colors it on its CSR adjacency,
-the coloring is one of its arrays and every subgraph keeps it.
+and its bounds run on. ``ColoredGraph.from_columns`` is the one place
+edges are canonicalized: the lift hands Spark the input's edges as they
+are, and it orients each as ``src < dst`` and drops repeats and self
+loops. ``csr_greedy`` colors the graph on its CSR adjacency; the
+coloring is one of its arrays and every subgraph keeps it.
 ``sequential_greedy`` is the same coloring of an adjacency dict, for
 ``LocalGraph`` and the oracles.
 """
@@ -37,8 +40,8 @@ class ColoredGraph:
     @classmethod
     def from_columns(cls, ids, attr, src, dst) -> "ColoredGraph":
         """Relabel and greedily color a graph given as columns: vertex ids
-        and attributes, edge endpoints (``ValueError`` if ``check_columns``
-        rejects them); self loops and duplicate edges go."""
+        and attributes, edge endpoints in either orientation (``ValueError``
+        if ``check_columns`` rejects them); self loops and repeated edges go."""
         ids, is_b, u, v = check_columns(ids, attr, src, dst)
         n = len(ids)
         src, dst = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), max(n, 1))

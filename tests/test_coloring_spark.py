@@ -1,4 +1,5 @@
-"""Driver coloring tests: the colored vertex frame equals sequential greedy."""
+"""Driver coloring tests: the colored vertex frame equals sequential greedy,
+and the collect of a Spark lift equals the driver build of the same frames."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -108,6 +109,22 @@ def test_csr_greedy_equals_sequential_greedy(frames):
     g = ColoredGraph.from_pandas(v, e)
     want = sequential_greedy(LocalGraph.from_pandas(v, e).adj)
     assert dict(zip(g.ids.tolist(), g.color.tolist())) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(frames=_graphs())
+@example(frames=(pd.DataFrame({"id": [5, -3, 9], "attr": ["a", "b", "b"]}),
+                 pd.DataFrame({"src": [5, -3, 9, 5, 9], "dst": [-3, 5, 9, -3, 5]})))
+def test_spark_collect_canonicalizes_edges(spark, frames):
+    """The lift hands Spark the edges as given (reversed, repeated, self
+    loops); the collect canonicalizes them, so lifting, checkpointing and
+    collecting gives, array by array, the graph the driver builds from
+    the same frames."""
+    v, e = frames
+    got = color_graph_local(from_pandas(spark, v, e).checkpointed())
+    want = ColoredGraph.from_pandas(v, e)
+    for name in ("ids", "is_b", "color", "src", "dst"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_complete_graph_takes_more_than_64_colors():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graph import gen
 from repro.graph.builder import from_pandas
-from repro.graph.coloring import ColoredGraph
+from repro.graph.coloring import ColoredGraph, color_graph_local
 from repro.graph.local import LocalGraph
 from repro.core.baseline import brute_force_size
 from repro.core.maxrfc import max_rfc, max_rfc_local
@@ -91,8 +91,7 @@ def test_bench_kernel_is_max_rfc_path(spark):
 def test_max_rfc_runs_at_most_two_spark_jobs(spark):
     """One collect each of the vertices and the edges; the reductions and
     the search run on the driver. The graph is lifted and checkpointed as
-    the jobs and the benchmark lift it; without the checkpoint the lift's
-    edge dedup runs inside the collect as one more job."""
+    the jobs and the benchmark lift it."""
     v, e = gen.DATASETS["aminer"](scale=0.25)
     g = from_pandas(spark, v, e).checkpointed()
     jobs = spark.sparkContext._jsc.sc().dagScheduler()
@@ -112,7 +111,8 @@ def test_heuristic_seed_never_worse_locally(spark):
 
 
 def test_synth_data_attributed_graph_entrypoint(spark):
-    """A named analogue lifts to a non-empty Spark ``AttributedGraph``."""
-    g = from_pandas(spark, *gen.DATASETS["pokec"](scale=0.2))
-    n, m = g.counts()
-    assert n > 0 and m > 0
+    """A named analogue lifts to a Spark ``AttributedGraph`` that collects
+    to its vertices and edges."""
+    v, e = gen.DATASETS["pokec"](scale=0.2)
+    g = color_graph_local(from_pandas(spark, v, e))
+    assert (g.n, g.m) == (len(v), len(e)) and g.m > 0

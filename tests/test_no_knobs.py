@@ -15,8 +15,8 @@ from repro.core.baseline import brute_force_size
 from repro.core.branch import branch_search
 from repro.core.maxrfc import max_rfc, max_rfc_local
 from repro.core.reduction import reduce_pipeline
-from repro.graph import coloring, gen, local
-from repro.graph.builder import AttributedGraph
+from repro.graph import builder, coloring, gen, local
+from repro.graph.builder import AttributedGraph, from_pandas
 from repro.graph.coloring import ColoredGraph
 from repro.graph.local import LocalGraph
 
@@ -140,6 +140,19 @@ def test_default_path_builds_no_local_graph(monkeypatch):
         for use_heuristic in (True, False):
             res = max_rfc_local(kernel, 2, 1, ub_combo=combo, use_heuristic=use_heuristic)
             assert res.search.completed and res.size == expect
+
+
+def test_lift_is_two_plain_frames(spark):
+    """Edges are canonicalized once, at the collect: the lift runs no
+    Spark dedup (lifting and checkpointing a graph is one job per frame)
+    and no Spark graph algebra comes back beside it."""
+    for name in ("canonicalize_edges", "symmetrize", "degrees"):
+        assert not hasattr(builder, name), name
+    v, e = gen.random_attributed_graph(40, 0.3, seed=5)
+    jobs = spark.sparkContext._jsc.sc().dagScheduler()
+    before = jobs.nextJobId()
+    from_pandas(spark, v, e).checkpointed()
+    assert jobs.nextJobId() - before == 2
 
 
 class _Frame:
